@@ -121,8 +121,8 @@ int main(int argc, char** argv) {
       if (!ot_conf.ok()) continue;
       MooProblem problem(
           &BatchParamSpace(),
-          {MooObjective{names[0], (*surrogates)[0].model},
-           MooObjective{names[1], (*surrogates)[1].model}});
+          {ObjectiveSpec{names[0], (*surrogates)[0].model},
+           ObjectiveSpec{names[1], (*surrogates)[1].model}});
       const Vector default_enc =
           BatchParamSpace().Encode(BatchParamSpace().Defaults());
       const double default_latency = problem.EvaluateOne(0, default_enc);
@@ -186,8 +186,8 @@ int main(int argc, char** argv) {
       // Throughput is maximized: direction flag on the second objective.
       MooProblem problem_max(
           &StreamParamSpace(),
-          {MooObjective{names[0], (*surrogates)[0].model},
-           MooObjective{names[1], (*surrogates)[1].model, false}});
+          {ObjectiveSpec{names[0], (*surrogates)[0].model},
+           ObjectiveSpec{names[1], (*surrogates)[1].model, false}});
       PfConfig pf_cfg;
       pf_cfg.parallel = true;
       pf_cfg.mogd = BenchMogd();

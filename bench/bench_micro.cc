@@ -150,8 +150,8 @@ void BM_MogdSolveCo(benchmark::State& state) {
         return g;
       });
   static const ParamSpace& space = BatchParamSpace();
-  MooProblem problem(&space, {MooObjective{"lat", latency},
-                              MooObjective{"cost", cost}});
+  MooProblem problem(&space, {ObjectiveSpec{"lat", latency},
+                              ObjectiveSpec{"cost", cost}});
   MogdConfig cfg;
   cfg.multistart = 6;
   cfg.max_iters = 100;

@@ -55,74 +55,6 @@ void Compare(const char* label, const MooProblem& problem) {
   std::printf("\n");
 }
 
-// Scalar vs batched MOGD on the same CO problems with the same seeds: the
-// lockstep restructure must reproduce the scalar solutions while cutting
-// solve time (the printed numbers come from the SolvePerf counters).
-void CompareScalarVsBatched(const char* label, const MooProblem& problem) {
-  // Both modes run inline (no pool) so the perf counters report clean
-  // single-thread solve times.
-  MogdConfig scalar_cfg = BenchMogd();
-  scalar_cfg.batched = false;
-  scalar_cfg.pool = nullptr;
-  MogdConfig batched_cfg = BenchMogd();
-  batched_cfg.batched = true;
-  batched_cfg.pool = nullptr;
-  MogdSolver scalar(scalar_cfg);
-  MogdSolver batched(batched_cfg);
-
-  // The PF-AP style workload: a stack of middle-point-probe CO problems.
-  MogdSolver probe(BenchMogd());
-  CoResult lat_min = probe.Minimize(problem, 0);
-  CoResult cost_min = probe.Minimize(problem, 1);
-  Vector lo = {std::min(lat_min.objectives[0], cost_min.objectives[0]),
-               std::min(lat_min.objectives[1], cost_min.objectives[1])};
-  Vector hi = {std::max(lat_min.objectives[0], cost_min.objectives[0]),
-               std::max(lat_min.objectives[1], cost_min.objectives[1])};
-  std::vector<CoProblem> cos;
-  const int kProblems = 8;
-  for (int i = 0; i < kProblems; ++i) {
-    CoProblem co;
-    co.target = 0;
-    const double t0 = static_cast<double>(i) / kProblems;
-    const double t1 = static_cast<double>(i + 1) / kProblems;
-    co.lower = {lo[0], lo[1]};
-    co.upper = {lo[0] + (hi[0] - lo[0]) * t1, hi[1]};
-    co.lower[0] = lo[0] + (hi[0] - lo[0]) * t0;
-    cos.push_back(std::move(co));
-  }
-
-  SolvePerf scalar_perf;
-  SolvePerf batched_perf;
-  auto scalar_res = scalar.SolveBatch(problem, cos, &scalar_perf);
-  auto batched_res = batched.SolveBatch(problem, cos, &batched_perf);
-
-  int mismatches = 0;
-  for (int i = 0; i < kProblems; ++i) {
-    if (scalar_res[i].has_value() != batched_res[i].has_value()) {
-      ++mismatches;
-    } else if (scalar_res[i].has_value() &&
-               scalar_res[i]->target_value != batched_res[i]->target_value) {
-      ++mismatches;
-    }
-  }
-
-  std::printf("--- %s models, %d CO problems, same seeds ---\n", label,
-              kProblems);
-  std::printf("%-10s %-12s %-14s %-12s %-12s\n", "mode", "solve (s)",
-              "model evals", "batches", "avg batch");
-  std::printf("%-10s %-12.3f %-14lld %-12lld %-12.1f\n", "scalar",
-              scalar_perf.solve_seconds, scalar_perf.model_evals,
-              scalar_perf.batch_calls, scalar_perf.AvgBatch());
-  std::printf("%-10s %-12.3f %-14lld %-12lld %-12.1f\n", "batched",
-              batched_perf.solve_seconds, batched_perf.model_evals,
-              batched_perf.batch_calls, batched_perf.AvgBatch());
-  std::printf("speedup (batched vs scalar): %.2fx; solution mismatches: "
-              "%d/%d\n\n",
-              scalar_perf.solve_seconds /
-                  std::max(1e-12, batched_perf.solve_seconds),
-              mismatches, kProblems);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -133,14 +65,12 @@ int main(int argc, char** argv) {
       BenchProblem dnn = MakeBatchProblem(9, QuickScaled(60, 40),
                                           ModelKind::kDnn);
       Compare("DNN", *dnn.problem);
-      CompareScalarVsBatched("DNN", *dnn.problem);
     }
     // Quick mode keeps the DNN half only: GP fitting dominates wall time
     // while the solver-vs-solver story is identical.
     if (!o.quick) {
       BenchProblem gp = MakeBatchProblem(9, 60, ModelKind::kGp);
       Compare("GP", *gp.problem);
-      CompareScalarVsBatched("GP", *gp.problem);
     }
     std::printf("(the paper: Knitro needs 42 min on DNN / 17 min on GP per "
                 "CO problem; MOGD 0.1-0.5 s at equal-or-better target "

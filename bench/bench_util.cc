@@ -86,19 +86,19 @@ BenchProblem MakeBatchProblem(int job, int traces, ModelKind kind,
   }
   CollectBatchTraces(engine, *bp.batch, configs, bp.server.get());
 
-  std::vector<MooObjective> objectives;
-  objectives.push_back(MooObjective{
+  std::vector<ObjectiveSpec> objectives;
+  objectives.push_back(ObjectiveSpec{
       objectives::kLatency,
       MustGet(bp.server.get(), bp.workload_id, objectives::kLatency)});
   if (cost2) {
     // cost2 mixes CPU-hour and IO cost, both learned (Expt 4).
-    objectives.push_back(MooObjective{
+    objectives.push_back(ObjectiveSpec{
         objectives::kCost2,
         MustGet(bp.server.get(), bp.workload_id, objectives::kCost2)});
   } else {
     // Cost in #cores is a certain function of the knobs: served analytically.
     objectives.push_back(
-        MooObjective{objectives::kCostCores, MakeCostCoresModel()});
+        ObjectiveSpec{objectives::kCostCores, MakeCostCoresModel()});
   }
   bp.problem =
       std::make_unique<MooProblem>(&BatchParamSpace(), std::move(objectives));
@@ -134,17 +134,17 @@ BenchProblem MakeStreamProblem(int job, int num_objectives, int traces,
   }
   CollectStreamTraces(engine, *bp.stream, configs, bp.server.get());
 
-  std::vector<MooObjective> objectives;
-  objectives.push_back(MooObjective{
+  std::vector<ObjectiveSpec> objectives;
+  objectives.push_back(ObjectiveSpec{
       objectives::kLatency,
       MustGet(bp.server.get(), bp.workload_id, objectives::kLatency)});
-  objectives.push_back(MooObjective{
+  objectives.push_back(ObjectiveSpec{
       objectives::kThroughput,
       MustGet(bp.server.get(), bp.workload_id, objectives::kThroughput),
       /*minimize=*/false});
   if (num_objectives == 3) {
     objectives.push_back(
-        MooObjective{objectives::kCostCores, MakeStreamCostCoresModel()});
+        ObjectiveSpec{objectives::kCostCores, MakeStreamCostCoresModel()});
   }
   bp.problem =
       std::make_unique<MooProblem>(&StreamParamSpace(), std::move(objectives));

@@ -49,10 +49,10 @@ int main() {
     auto floored = std::make_shared<NonNegativeModel>(*latency);
     problems.push_back(std::make_unique<MooProblem>(
         &BatchParamSpace(),
-        std::vector<MooObjective>{
-            MooObjective{objectives::kLatency, floored},
-            MooObjective{objectives::kCostCpuHour,
-                         MakeCpuHourModel(floored)}}));
+        std::vector<ObjectiveSpec>{
+            ObjectiveSpec{objectives::kLatency, floored},
+            ObjectiveSpec{objectives::kCostCpuHour,
+                          MakeCpuHourModel(floored)}}));
     servers.push_back(std::move(server));
   }
 

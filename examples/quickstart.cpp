@@ -33,8 +33,8 @@ int main() {
   // 1. Objective models: latency = max(100, 2400/min(24, x1*x2)) seconds,
   //    cost = min(24, x1*x2) cores (Fig. 3(e)-(f), softened for gradients).
   MooProblem problem(&Fig3Space(),
-                     {MooObjective{"latency", MakeFig3LatencyModel()},
-                      MooObjective{"cost_cores", MakeFig3CostModel()}});
+                     {ObjectiveSpec{"latency", MakeFig3LatencyModel()},
+                      ObjectiveSpec{"cost_cores", MakeFig3CostModel()}});
 
   // 2. Compute the Pareto frontier with PF-AP (the production default).
   PfConfig config;

@@ -34,7 +34,7 @@ int main() {
                                SamplingStrategy::kLatinHypercube, &rng);
   CollectStreamTraces(engine, workload, configs, &server);
 
-  UdaoOptions options;
+  SolverOptions options;
   options.workload_aware = false;  // 3 objectives; plain WUN
   options.frontier_points = 12;
   Udao optimizer(&server, options);
@@ -58,11 +58,11 @@ int main() {
     request.space = &StreamParamSpace();
     // Objectives: minimize record latency, maximize throughput (must at
     // least carry the expected load), minimize cost in cores.
-    UdaoRequest::Objective latency{.name = objectives::kLatency};
-    UdaoRequest::Objective throughput{.name = objectives::kThroughput,
-                                      .minimize = false};
+    ObjectiveSpec latency{.name = objectives::kLatency};
+    ObjectiveSpec throughput{.name = objectives::kThroughput,
+                             .minimize = false};
     throughput.lower = lp.load_krps;  // serve at least the incoming rate
-    UdaoRequest::Objective cost{.name = objectives::kCostCores};
+    ObjectiveSpec cost{.name = objectives::kCostCores};
     request.objectives = {latency, throughput, cost};
     request.preference_weights = {0.4, 0.2, 0.4};
 

@@ -7,7 +7,7 @@
 // The dense products below route through the runtime-dispatched kernel table
 // (nn/kernels.h). The scalar backend replicates this file's original loops
 // bitwise; the avx2 backend vectorizes them. Every consumer -- GP algebra,
-// MLP training, the scalar and batched solver paths -- shifts backend
+// MLP training, the scalar and batched model entry points -- shifts backend
 // together, which is what keeps the codebase's batch-vs-scalar exact-equality
 // contracts intact in either mode.
 

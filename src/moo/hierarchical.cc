@@ -66,7 +66,9 @@ bool DominatesMin(const Vector& a, const Vector& b) {
 HierarchicalMoo::HierarchicalMoo(const SparkEngine* engine,
                                  HierarchicalConfig config)
     : engine_(engine), config_(std::move(config)),
-      inline_solver_(config_.mogd) {
+      inline_solver_(config_.mogd),
+      solver_(config_.co_solver != nullptr ? config_.co_solver
+                                           : &inline_solver_) {
   UDAO_CHECK(engine_ != nullptr);
 }
 
@@ -79,11 +81,7 @@ std::map<int, double> HierarchicalMoo::SolveOneStage(
   objectives[0].model = MakeStageModel(engine_, base_raw, stage, wclass);
   const MooProblem problem(&sub, std::move(objectives));
 
-  SolvePerf perf;
-  const CoResult result =
-      config_.co_solver != nullptr
-          ? config_.co_solver->Minimize(problem, 0, &perf, stop)
-          : inline_solver_.Minimize(problem, 0, &perf, stop);
+  const CoResult result = solver_->Minimize(problem, 0, nullptr, stop);
 
   // CoResult.raw is the rounded decode of the relaxed solution: already a
   // valid knob assignment (Decode clamps and quantizes).

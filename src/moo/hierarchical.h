@@ -17,8 +17,10 @@ struct HierarchicalConfig {
   /// Per-stage descent settings. The defaults are deliberately lighter than
   /// the frontier solver's: per-stage subproblems are 6-knob analytic
   /// minimizations, and boundary re-solves must fit inside ~10 ms budgets.
-  /// Determinism follows the MogdSolver contract -- a solve's bits are a
-  /// pure function of (problem, seed), never of pools or batching.
+  /// UdaoService replaces them with its own solver's MogdConfig, the one its
+  /// coalescer solves with. Determinism follows the MogdSolver contract -- a
+  /// solve's bits are a pure function of (problem, seed), never of pools or
+  /// batching.
   MogdConfig mogd = [] {
     MogdConfig cfg;
     cfg.multistart = 4;
@@ -28,7 +30,8 @@ struct HierarchicalConfig {
   /// When set, every per-stage Minimize routes through this solver. The
   /// serving layer passes its SolveCoalescer here, so boundary re-solves
   /// from concurrent requests coalesce (window sharing + singleflight).
-  /// Null solves inline on an owned MogdSolver with the same config.
+  /// Null solves inline on an owned MogdSolver built from `mogd`; the two
+  /// return the same bits only when `mogd` equals the co_solver's config.
   CoBatchSolver* co_solver = nullptr;
   /// Context candidates Solve() enumerates along the resource diagonal
   /// (small-and-cheap to large-and-fast). Each candidate fixes theta_c; the
@@ -74,6 +77,9 @@ class HierarchicalMoo {
  public:
   /// `engine` supplies the stage cost model; non-owning, must outlive this.
   HierarchicalMoo(const SparkEngine* engine, HierarchicalConfig config);
+  // solver_ may point at this object's own inline_solver_.
+  HierarchicalMoo(const HierarchicalMoo&) = delete;
+  HierarchicalMoo& operator=(const HierarchicalMoo&) = delete;
 
   /// Full hierarchical solve for `flow` from planner estimates: enumerates
   /// context candidates, solves every stage subproblem per candidate, and
@@ -109,6 +115,9 @@ class HierarchicalMoo {
   const SparkEngine* engine_;
   HierarchicalConfig config_;
   MogdSolver inline_solver_;
+  /// Every per-stage solve goes here: config_.co_solver when set, else
+  /// &inline_solver_.
+  CoBatchSolver* solver_;
 };
 
 }  // namespace udao

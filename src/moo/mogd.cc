@@ -38,10 +38,6 @@ void FlushSolveMetrics(const SolvePerf& perf, int restarts, bool feasible) {
 #endif
 }
 
-void ClipToUnitBox(Vector* x) {
-  for (double& v : *x) v = std::min(1.0, std::max(0.0, v));
-}
-
 void ClipToUnitBox(double* x, int dim) {
   for (int d = 0; d < dim; ++d) x[d] = std::min(1.0, std::max(0.0, x[d]));
 }
@@ -51,9 +47,9 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Draws the multistart initial points in the scalar path's RNG order:
-// start 0 is the center of the box, later starts are uniform draws taken
-// start-major so both paths consume the same random sequence.
+// Draws the multistart initial points: start 0 is the center of the box,
+// later starts are uniform draws taken start-major, so start s consumes the
+// same random numbers it would if the starts descended one at a time.
 Matrix DrawStarts(int multistart, int dim, Rng* rng) {
   Matrix x(multistart, dim);
   double* row0 = x.RowPtr(0);
@@ -77,9 +73,9 @@ void DCheckFiniteModelOutputs(const Matrix& m) {
   for (const double v : m.data()) UDAO_DCHECK_FINITE(v);
 }
 
-// Per-start incumbent for the batched paths. Keeping the best per start and
-// merging in start order reproduces the scalar path's global
-// first-best-wins bookkeeping exactly (strict < keeps the earliest).
+// Per-start incumbent. Keeping the best per start and merging in start
+// order reproduces the global first-best-wins bookkeeping of descending one
+// start at a time exactly (strict < keeps the earliest).
 struct StartBest {
   bool found = false;
   Vector x;
@@ -104,149 +100,9 @@ std::optional<CoResult> MogdSolver::SolveCo(const MooProblem& problem,
 std::optional<CoResult> MogdSolver::SolveCoSeeded(
     const MooProblem& problem, const CoProblem& co, uint64_t seed,
     SolvePerf* perf, const StopToken& stop) const {
-  const int k = problem.NumObjectives();
-  UDAO_CHECK(co.target >= 0 && co.target < k);
-  UDAO_CHECK_EQ(static_cast<int>(co.lower.size()), k);
-  UDAO_CHECK_EQ(static_cast<int>(co.upper.size()), k);
-  for (int j = 0; j < k; ++j) UDAO_CHECK(co.lower[j] <= co.upper[j]);
-  return config_.batched ? SolveCoBatched(problem, co, seed, perf, stop)
-                         : SolveCoScalar(problem, co, seed, perf, stop);
-}
-
-std::optional<CoResult> MogdSolver::SolveCoScalar(
-    const MooProblem& problem, const CoProblem& co, uint64_t seed,
-    SolvePerf* perf, const StopToken& stop) const {
-  UDAO_TRACE_SPAN("mogd.solve_co");
-  const auto t0 = std::chrono::steady_clock::now();
-  SolvePerf local;
-  const int k = problem.NumObjectives();
-  const int dim = problem.EncodedDim();
-
-  Vector spans(k);
-  for (int j = 0; j < k; ++j) {
-    spans[j] = std::max(1e-9, co.upper[j] - co.lower[j]);
-  }
-
-  // Evaluates objectives (uncertainty-adjusted when alpha > 0) and their
-  // gradients at x.
-  auto evaluate = [&](const Vector& x, Vector* f,
-                      std::vector<Vector>* grads) {
-    const auto e0 = std::chrono::steady_clock::now();
-    f->resize(k);
-    grads->resize(k);
-    for (int j = 0; j < k; ++j) {
-      if (config_.alpha > 0.0) {
-        double mean = 0.0;
-        double stddev = 0.0;
-        problem.EvaluateWithUncertainty(j, x, &mean, &stddev);
-        (*f)[j] = mean + config_.alpha * stddev;
-      } else {
-        (*f)[j] = problem.EvaluateOne(j, x);
-      }
-      // The descent direction follows the mean's gradient; the uncertainty
-      // term shifts values (conservatism) without steering the search.
-      (*grads)[j] = problem.Gradient(j, x);
-      UDAO_DCHECK_FINITE((*f)[j]);
-      DCheckFiniteModelOutputs((*grads)[j]);
-    }
-    local.model_evals += k;
-    local.batch_calls += k;
-    local.eval_seconds += SecondsSince(e0);
-  };
-
-  Rng rng(seed);
-  std::optional<CoResult> best;
-
-  // Tracks the best feasible point seen anywhere along any trajectory.
-  auto consider = [&](const Vector& x, const Vector& f) {
-    for (int j = 0; j < k; ++j) {
-      const double fn = (f[j] - co.lower[j]) / spans[j];
-      if (fn < -kFeasibilityTol || fn > 1.0 + kFeasibilityTol) return;
-    }
-    for (const CoProblem::LinearConstraint& lc : co.linear) {
-      if (Dot(lc.normal, f) - lc.offset > kFeasibilityTol) return;
-    }
-    if (!best.has_value() || f[co.target] < best->target_value) {
-      CoResult result;
-      result.x = x;
-      result.raw = problem.space().Decode(x);
-      result.objectives = f;
-      result.target_value = f[co.target];
-      best = std::move(result);
-    }
-  };
-
-  for (int start = 0; start < config_.multistart; ++start) {
-    // Anytime stop (deadline/cancellation), amortized to one check per Adam
-    // iteration. The first iteration of start 0 always runs, so even an
-    // already-expired budget produces one real evaluation and a candidate
-    // for the incumbent.
-    if (start > 0 && stop.ShouldStop()) break;
-    Vector x(dim);
-    if (start == 0) {
-      std::fill(x.begin(), x.end(), 0.5);
-    } else {
-      for (double& v : x) v = rng.Uniform();
-    }
-    Adam adam(dim, AdamConfig{.learning_rate = config_.learning_rate});
-    Vector f;
-    std::vector<Vector> grads;
-    for (int iter = 0; iter < config_.max_iters; ++iter) {
-      if ((start > 0 || iter > 0) && stop.ShouldStop()) break;
-      evaluate(x, &f, &grads);
-      consider(x, f);
-      // Loss gradient per Eq. 3.
-      Vector loss_grad(dim, 0.0);
-      for (int j = 0; j < k; ++j) {
-        const double fn = (f[j] - co.lower[j]) / spans[j];
-        double coeff = 0.0;
-        if (fn < 0.0 || fn > 1.0) {
-          coeff = 2.0 * (fn - 0.5) / spans[j];
-        } else if (j == co.target) {
-          coeff = 2.0 * fn / spans[j];
-        }
-        if (coeff != 0.0) {
-          for (int d = 0; d < dim; ++d) loss_grad[d] += coeff * grads[j][d];
-        }
-      }
-      for (const CoProblem::LinearConstraint& lc : co.linear) {
-        const double g = Dot(lc.normal, f) - lc.offset;
-        if (g > 0.0) {
-          for (int j = 0; j < k; ++j) {
-            if (lc.normal[j] == 0.0) continue;
-            for (int d = 0; d < dim; ++d) {
-              loss_grad[d] += 2.0 * g * lc.normal[j] * grads[j][d];
-            }
-          }
-        }
-      }
-      adam.Step(&x, loss_grad);
-      ClipToUnitBox(&x);
-      ++local.iterations;
-    }
-    evaluate(x, &f, &grads);
-    consider(x, f);
-  }
-  local.solve_seconds = SecondsSince(t0);
-  FlushSolveMetrics(local, config_.multistart, best.has_value());
-  if (best.has_value()) best->perf = local;
-  if (perf != nullptr) perf->Merge(local);
-  return best;
-}
-
-std::optional<CoResult> MogdSolver::SolveCoBatched(
-    const MooProblem& problem, const CoProblem& co, uint64_t seed,
-    SolvePerf* perf, const StopToken& stop) const {
-  UDAO_TRACE_SPAN("mogd.solve_co");
-  // The solo batched solve IS a fused solve of one problem. Delegating keeps
-  // "coalesced == solo bitwise" true by construction instead of by keeping
-  // two copies of the lockstep loop in sync.
-  const std::vector<const CoProblem*> cos{&co};
-  const std::vector<uint64_t> seeds{seed};
-  const std::vector<const StopToken*> stops{&stop};
   std::vector<SolvePerf> perfs;
   std::vector<std::optional<CoResult>> results =
-      SolveCoFused(problem, cos, seeds, stops, &perfs);
+      SolveCoFused(problem, {&co}, {seed}, {&stop}, &perfs);
   if (perf != nullptr) perf->Merge(perfs[0]);
   return std::move(results[0]);
 }
@@ -257,7 +113,6 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveCoFused(
     const std::vector<const StopToken*>& stops,
     std::vector<SolvePerf>* perfs) const {
   UDAO_TRACE_SPAN("mogd.solve_co_fused");
-  UDAO_CHECK(config_.batched);
   const int K = static_cast<int>(cos.size());
   UDAO_CHECK_EQ(static_cast<int>(seeds.size()), K);
   UDAO_CHECK_EQ(static_cast<int>(stops.size()), K);
@@ -270,7 +125,7 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveCoFused(
   const int dim = problem.EncodedDim();
   const int S = config_.multistart;
 
-  // Same structural validation SolveCoSeeded performs, per problem.
+  // Structural validation, per problem.
   for (int p = 0; p < K; ++p) {
     const CoProblem& co = *cos[p];
     UDAO_CHECK(co.target >= 0 && co.target < k);
@@ -281,8 +136,8 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveCoFused(
 
   // Rows [p*S, (p+1)*S) of x belong to problem p. Every problem draws its
   // starts from its own seed and keeps its own Adam moments, incumbents and
-  // spans, so its trajectory is byte-for-byte what a solo
-  // SolveCoSeeded(seeds[p]) computes -- batch model evaluation is
+  // spans, so its trajectory is byte-for-byte what a group of one
+  // (SolveCoSeeded(seeds[p])) computes -- batch model evaluation is
   // row-independent, so co-residency in one fused call changes nothing.
   Matrix x(K * S, dim);
   std::vector<Vector> spans(K, Vector(k));
@@ -329,8 +184,9 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveCoFused(
     for (int j = 0; j < k; ++j) {
       if (config_.alpha > 0.0) {
         // Values come from the uncertainty-adjusted surface; the descent
-        // direction still follows the mean's gradient (as in the scalar
-        // path), so the fused values from GradientBatch are discarded.
+        // direction still follows the mean's gradient (the uncertainty term
+        // shifts values without steering the search), so the fused values
+        // from GradientBatch are discarded.
         problem.EvaluateWithUncertaintyBatch(j, xe, &mean, &stddev);
         problem.GradientBatch(j, xe, &grads[j]);
         f[j].resize(P * S);
@@ -391,7 +247,7 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveCoFused(
   };
 
   // Merge problem p's per-start incumbents in start order (strict < keeps
-  // the earliest, matching the scalar path) and flush its metrics.
+  // the earliest start) and flush its metrics.
   auto finalize = [&](int p) {
     std::optional<CoResult> out;
     for (int s = 0; s < S; ++s) {
@@ -418,11 +274,11 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveCoFused(
   std::vector<char> stopping(K, 0);
   int remaining = K;
   for (int iter = 0; iter < config_.max_iters && remaining > 0; ++iter) {
-    // Per-problem anytime stop, once per lockstep iteration, exactly the
-    // solo sequence: iteration 0 always runs; a problem whose StopToken
-    // fired gets THIS iteration's evaluate+consider as its trailing pass
-    // (solo runs it after breaking the loop) and then freezes -- no step,
-    // no further participation -- while its batchmates keep descending.
+    // Per-problem anytime stop, once per lockstep iteration: iteration 0
+    // always runs; a problem whose StopToken fired gets THIS iteration's
+    // evaluate+consider as its trailing pass and then freezes -- no step,
+    // no further participation -- while its batchmates keep descending, so
+    // its result is the one it would get in a group of its own.
     parts.clear();
     for (int p = 0; p < K; ++p) {
       if (!active[p]) continue;
@@ -480,8 +336,7 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveCoFused(
     }
   }
 
-  // Trailing evaluate + consider for the problems that ran every iteration
-  // (solo runs it after the loop ends normally).
+  // Trailing evaluate + consider for the problems that ran every iteration.
   parts.clear();
   for (int p = 0; p < K; ++p) {
     if (active[p]) parts.push_back(p);
@@ -496,7 +351,7 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveCoFused(
 
 std::vector<std::optional<CoResult>> MogdSolver::SolveBatch(
     const MooProblem& problem, const std::vector<CoProblem>& problems,
-    SolvePerf* perf, const StopToken& stop) const {
+    SolvePerf* perf, const StopToken& stop) {
   UDAO_TRACE_SPAN("mogd.solve_batch");
   UDAO_METRIC_COUNTER_ADD("udao.mogd.solve_batches", 1);
   UDAO_METRIC_OBSERVE("udao.mogd.solve_batch_size",
@@ -525,72 +380,7 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveBatch(
 }
 
 CoResult MogdSolver::Minimize(const MooProblem& problem, int target,
-                              SolvePerf* perf, const StopToken& stop) const {
-  return config_.batched ? MinimizeBatched(problem, target, perf, stop)
-                         : MinimizeScalar(problem, target, perf, stop);
-}
-
-CoResult MogdSolver::MinimizeScalar(const MooProblem& problem, int target,
-                                    SolvePerf* perf,
-                                    const StopToken& stop) const {
-  UDAO_TRACE_SPAN("mogd.minimize");
-  const auto t0 = std::chrono::steady_clock::now();
-  SolvePerf local;
-  const int dim = problem.EncodedDim();
-  Rng rng(config_.seed + 7 * target);
-  CoResult best;
-  best.target_value = std::numeric_limits<double>::infinity();
-
-  auto consider = [&](const Vector& x) {
-    const auto e0 = std::chrono::steady_clock::now();
-    const double v = problem.EvaluateOne(target, x);
-    ++local.model_evals;
-    ++local.batch_calls;
-    local.eval_seconds += SecondsSince(e0);
-    if (v < best.target_value) {
-      best.x = x;
-      best.raw = problem.space().Decode(x);
-      best.objectives = problem.Evaluate(x);
-      best.target_value = v;
-    }
-  };
-
-  for (int start = 0; start < config_.multistart; ++start) {
-    // Anytime stop. The first iteration of start 0 is unconditional, so the
-    // incumbent below is always finite (the UDAO_CHECK after the loop).
-    if (start > 0 && stop.ShouldStop()) break;
-    Vector x(dim);
-    if (start == 0) {
-      std::fill(x.begin(), x.end(), 0.5);
-    } else {
-      for (double& v : x) v = rng.Uniform();
-    }
-    Adam adam(dim, AdamConfig{.learning_rate = config_.learning_rate});
-    for (int iter = 0; iter < config_.max_iters; ++iter) {
-      if ((start > 0 || iter > 0) && stop.ShouldStop()) break;
-      const auto e0 = std::chrono::steady_clock::now();
-      Vector grad = problem.Gradient(target, x);
-      DCheckFiniteModelOutputs(grad);
-      ++local.model_evals;
-      ++local.batch_calls;
-      local.eval_seconds += SecondsSince(e0);
-      adam.Step(&x, grad);
-      ClipToUnitBox(&x);
-      consider(x);
-      ++local.iterations;
-    }
-  }
-  UDAO_CHECK(std::isfinite(best.target_value));
-  local.solve_seconds = SecondsSince(t0);
-  FlushSolveMetrics(local, config_.multistart, /*feasible=*/true);
-  best.perf = local;
-  if (perf != nullptr) perf->Merge(local);
-  return best;
-}
-
-CoResult MogdSolver::MinimizeBatched(const MooProblem& problem, int target,
-                                     SolvePerf* perf,
-                                     const StopToken& stop) const {
+                              SolvePerf* perf, const StopToken& stop) {
   UDAO_TRACE_SPAN("mogd.minimize");
   const auto t0 = std::chrono::steady_clock::now();
   SolvePerf local;
@@ -599,10 +389,9 @@ CoResult MogdSolver::MinimizeBatched(const MooProblem& problem, int target,
   Rng rng(config_.seed + 7 * target);
   Matrix x = DrawStarts(S, dim, &rng);
 
-  // The scalar path considers the point *after* each Adam step, so values
-  // are needed at the stepped points: one gradient batch before the step and
-  // one value batch after it per iteration (the scalar path pays the same
-  // two model calls per point).
+  // Each iteration considers the point *after* its Adam step, so values are
+  // needed at the stepped points: one gradient batch before the step and one
+  // value batch after it per iteration.
   std::vector<StartBest> best(S);
   Matrix grads;
   Vector values;

@@ -21,12 +21,6 @@ struct MogdConfig {
   /// Uncertainty coefficient: objectives are replaced by
   /// E[F] + alpha * std[F] when alpha > 0 (Section IV-B.3).
   double alpha = 0.0;
-  /// Advance all multistarts in lockstep, evaluating every objective once
-  /// per Adam iteration over the whole [multistart, dim] batch (one GEMM for
-  /// DNN objectives, with the forward pass shared between values and
-  /// gradients). The scalar path (false) descends one start at a time; both
-  /// paths visit the same points and return the same solutions.
-  bool batched = true;
   /// Worker threads for SolveBatch (PF-AP sends l^k CO problems at once).
   /// Non-owning: the caller creates the pool once (Udao / PipelineOptimizer
   /// own one per instance) and may share it across solvers. Null runs the
@@ -40,12 +34,12 @@ struct MogdConfig {
 /// the numbers printed by tools/udao_cli.cc and bench_mogd_solver.
 struct SolvePerf {
   long long model_evals = 0;   ///< Point-evaluations of objective models.
-  long long batch_calls = 0;   ///< Model invocations issued (scalar call = 1).
+  long long batch_calls = 0;   ///< Batched model invocations issued.
   long long iterations = 0;    ///< Adam iterations executed (all starts).
   double eval_seconds = 0.0;   ///< Wall-clock inside model evaluation.
   double solve_seconds = 0.0;  ///< Wall-clock of the whole solve.
 
-  /// Mean points per model invocation; 1.0 for the scalar path.
+  /// Mean points per model invocation.
   double AvgBatch() const {
     return batch_calls > 0 ? static_cast<double>(model_evals) / batch_calls
                            : 0.0;
@@ -87,9 +81,11 @@ struct CoResult {
 /// contract: result i corresponds to problems[i], per-problem results are
 /// independent of scheduling, and problem i is seeded with
 /// `mogd.seed + 1000 * i` so any implementation returns bitwise-identical
-/// solutions. ProgressiveFrontier routes its CO batches through this when
-/// PfConfig::co_solver is set -- the hook the cross-request SolveCoalescer
-/// plugs into so concurrent requests share fused GEMM streams.
+/// solutions. MogdSolver is the direct implementation; the cross-request
+/// SolveCoalescer is the other, plugged in through PfConfig::co_solver /
+/// HierarchicalConfig::co_solver so concurrent requests share fused GEMM
+/// streams. ProgressiveFrontier and HierarchicalMoo issue every MOGD solve
+/// through this interface.
 class CoBatchSolver {
  public:
   virtual ~CoBatchSolver() = default;
@@ -122,7 +118,17 @@ class CoBatchSolver {
 /// enforces that ordering directly -- candidates are tracked feasibility-
 /// first and ranked by the target value -- so P never needs a numeric value
 /// (it also has zero gradient and thus no effect on the descent itself).
-class MogdSolver {
+///
+/// Every solve advances all multistarts in lockstep: each Adam iteration
+/// evaluates every objective once over the whole [multistart, dim] batch
+/// (one GEMM for DNN objectives, with the forward pass shared between
+/// values and gradients). Initial points are drawn start-major (start 0 is
+/// the box center) and per-start incumbents merge in start order, so an
+/// unstopped solve returns exactly what descending one start at a time
+/// would (tests/mogd_reference.h keeps that loop as the reference). The
+/// solver holds only its config, so every method is safe to call
+/// concurrently.
+class MogdSolver : public CoBatchSolver {
  public:
   explicit MogdSolver(MogdConfig config = MogdConfig());
 
@@ -134,22 +140,22 @@ class MogdSolver {
   /// `stop` makes the solve *anytime*: the descent checks it once per Adam
   /// iteration (never per model evaluation) and, when it fires, returns the
   /// current incumbent -- the best feasible point seen so far -- instead of
-  /// running the remaining iterations. The first iteration of the first
-  /// start always runs, so even an already-expired deadline yields a real
-  /// evaluation. The default token never stops; solves without one are
-  /// bitwise-identical to the pre-deadline code.
+  /// running the remaining iterations. The first iteration always runs, so
+  /// even an already-expired deadline yields a real evaluation. The default
+  /// token never stops.
   std::optional<CoResult> SolveCo(const MooProblem& problem,
                                   const CoProblem& co,
                                   SolvePerf* perf = nullptr,
                                   const StopToken& stop = StopToken()) const;
 
   /// Solves a batch of CO problems on config().pool (inline when null) --
-  /// the PF-AP fan-out. Result i corresponds to problems[i] and is
-  /// independent of the pool's thread count. Each per-problem solve checks
-  /// `stop` per iteration (see SolveCo).
+  /// the PF-AP fan-out; a PF-AS probe is a batch of one. Result i
+  /// corresponds to problems[i] and is independent of the pool's thread
+  /// count. Each per-problem solve checks `stop` per iteration (see SolveCo).
   std::vector<std::optional<CoResult>> SolveBatch(
       const MooProblem& problem, const std::vector<CoProblem>& problems,
-      SolvePerf* perf = nullptr, const StopToken& stop = StopToken()) const;
+      SolvePerf* perf = nullptr,
+      const StopToken& stop = StopToken()) override;
 
   /// Unconstrained single-objective minimization (line 2 of Algorithm 1, used
   /// to find the reference points). Only the box [0,1]^D constrains x.
@@ -157,13 +163,12 @@ class MogdSolver {
   /// (the first iteration is unconditional).
   CoResult Minimize(const MooProblem& problem, int target,
                     SolvePerf* perf = nullptr,
-                    const StopToken& stop = StopToken()) const;
+                    const StopToken& stop = StopToken()) override;
 
-  /// SolveCo with an explicit RNG seed -- the primitive SolveBatch builds on
-  /// (`config().seed + 1000 * i` for slot i) and the one batch-submission
-  /// queues must call to keep coalesced solves bitwise-identical to solo
-  /// ones: a problem's solution depends only on (problem, co, seed), never
-  /// on which batch it rode in.
+  /// SolveCo with an explicit RNG seed: a SolveCoFused group of one. It is
+  /// the primitive SolveBatch builds on (`config().seed + 1000 * i` for slot
+  /// i); a problem's solution depends only on (problem, co, seed), never on
+  /// which batch or fused group it rode in.
   std::optional<CoResult> SolveCoSeeded(const MooProblem& problem,
                                         const CoProblem& co, uint64_t seed,
                                         SolvePerf* perf,
@@ -184,9 +189,6 @@ class MogdSolver {
   /// batch_calls counts each problem's logical batched calls (the physical
   /// fused call is shared by the group), and the shared evaluation wall time
   /// is split evenly across the problems that participated.
-  ///
-  /// Requires config().batched; callers with the scalar configuration should
-  /// fall back to per-problem SolveCoSeeded.
   std::vector<std::optional<CoResult>> SolveCoFused(
       const MooProblem& problem, const std::vector<const CoProblem*>& cos,
       const std::vector<uint64_t>& seeds,
@@ -194,22 +196,6 @@ class MogdSolver {
       std::vector<SolvePerf>* perfs) const;
 
  private:
-  // One start at a time; the original formulation.
-  std::optional<CoResult> SolveCoScalar(const MooProblem& problem,
-                                        const CoProblem& co, uint64_t seed,
-                                        SolvePerf* perf,
-                                        const StopToken& stop) const;
-  // All starts in lockstep, batched model evaluation. Visits exactly the
-  // points the scalar path visits (same seeds) and keeps the same best.
-  std::optional<CoResult> SolveCoBatched(const MooProblem& problem,
-                                         const CoProblem& co, uint64_t seed,
-                                         SolvePerf* perf,
-                                         const StopToken& stop) const;
-  CoResult MinimizeScalar(const MooProblem& problem, int target,
-                          SolvePerf* perf, const StopToken& stop) const;
-  CoResult MinimizeBatched(const MooProblem& problem, int target,
-                           SolvePerf* perf, const StopToken& stop) const;
-
   MogdConfig config_;
 };
 

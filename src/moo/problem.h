@@ -38,10 +38,6 @@ struct ObjectiveSpec {
   static constexpr double kInf = 1e300;
 };
 
-/// Transitional alias: solver-side code historically named this
-/// MooObjective. New code should say ObjectiveSpec.
-using MooObjective = ObjectiveSpec;
-
 /// The multi-objective optimization problem (Problem III.1): k objective
 /// models over one parameter space. All evaluation happens in the encoded
 /// [0,1]^D space; callers convert to raw knob values via space().Decode().

@@ -23,6 +23,7 @@ double SecondsSince(Clock::time_point start) {
 ProgressiveFrontier::ProgressiveFrontier(const MooProblem* problem,
                                          PfConfig config)
     : problem_(problem), config_(config), mogd_(config.mogd),
+      solver_(config.co_solver != nullptr ? config.co_solver : &mogd_),
       exhaustive_(config.exhaustive_budget) {
   UDAO_CHECK(problem_ != nullptr);
   UDAO_CHECK_GE(config_.grid_per_dim, 2);
@@ -33,27 +34,16 @@ std::optional<CoResult> ProgressiveFrontier::Solve(const CoProblem& co,
   // The exhaustive reference solver ignores the token: it exists for small
   // deterministic baselines, not the serving path.
   if (config_.use_exhaustive) return exhaustive_.SolveCo(*problem_, co);
-  if (config_.co_solver != nullptr) {
-    // A 1-problem batch carries seed `mogd.seed + 1000*0`, the same seed
-    // SolveCo uses, so routing PF-AS probes through the coalescer keeps
-    // them bitwise-identical to the direct call.
-    std::vector<std::optional<CoResult>> solved =
-        config_.co_solver->SolveBatch(*problem_, {co}, &result_.perf, stop);
-    UDAO_CHECK_EQ(static_cast<int>(solved.size()), 1);
-    return std::move(solved[0]);
-  }
-  return mogd_.SolveCo(*problem_, co, &result_.perf, stop);
+  // A 1-problem batch carries seed `mogd.seed + 1000*0` == `mogd.seed`.
+  std::vector<std::optional<CoResult>> solved =
+      solver_->SolveBatch(*problem_, {co}, &result_.perf, stop);
+  UDAO_CHECK_EQ(static_cast<int>(solved.size()), 1);
+  return std::move(solved[0]);
 }
 
 CoResult ProgressiveFrontier::SolveMin(int target, const StopToken& stop) {
   if (config_.use_exhaustive) return exhaustive_.Minimize(*problem_, target);
-  if (config_.co_solver != nullptr) {
-    // Reference-point solves share bits across requests: Minimize is
-    // unconstrained (user value bounds never enter it), so the coalescer's
-    // singleflight can serve every hot-tenant request from one descent.
-    return config_.co_solver->Minimize(*problem_, target, &result_.perf, stop);
-  }
-  return mogd_.Minimize(*problem_, target, &result_.perf, stop);
+  return solver_->Minimize(*problem_, target, &result_.perf, stop);
 }
 
 double ProgressiveFrontier::QueueVolume() const {
@@ -318,10 +308,7 @@ const PfResult& ProgressiveFrontier::Run(int total_points,
                   }
                   return r;
                 }()
-          : config_.co_solver != nullptr
-              ? config_.co_solver->SolveBatch(*problem_, cos, &result_.perf,
-                                              stop)
-              : mogd_.SolveBatch(*problem_, cos, &result_.perf, stop);
+          : solver_->SolveBatch(*problem_, cos, &result_.perf, stop);
       result_.probes += cells;
       ++probes_this_call;
       UDAO_METRIC_COUNTER_ADD("udao.pf.probes", 1);

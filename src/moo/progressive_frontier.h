@@ -32,16 +32,16 @@ struct PfConfig {
   /// Ablation switch: explore hyperrectangles in FIFO order instead of
   /// largest-volume-first, disabling the paper's uncertainty-aware property.
   bool fifo_queue = false;
-  /// When set (and use_exhaustive is off), every CO batch -- the PF-AP grid
-  /// fan-out and the PF-AS single probe alike -- is routed through this
-  /// solver instead of the private MogdSolver. Non-owning; the serving layer
-  /// points it at its cross-request SolveCoalescer so concurrent requests
-  /// share fused GEMM streams. The CoBatchSolver contract (mogd.h) pins
-  /// per-problem seeds, so routing never changes solutions -- like the MOGD
-  /// pool pointer, it is deliberately excluded from the options fingerprint.
-  /// Reference-point minimizations (SolveMin) route through it too: they are
-  /// unconstrained, so the coalescer's Minimize singleflight can serve every
-  /// hot-tenant request's Initialize from one shared descent.
+  /// When set (and use_exhaustive is off), every MOGD solve -- the PF-AP
+  /// grid fan-out, the PF-AS probe (a batch of one) and the reference-point
+  /// minimizations -- goes through this solver instead of the private
+  /// MogdSolver built from `mogd`. Non-owning; the serving layer points it at
+  /// its cross-request SolveCoalescer so concurrent requests share fused
+  /// GEMM streams, and its Minimize singleflight serves every hot-tenant
+  /// request's Initialize from one shared descent. The CoBatchSolver
+  /// contract (mogd.h) pins per-problem seeds, so routing never changes
+  /// solutions -- like the MOGD pool pointer, it is deliberately excluded
+  /// from the options fingerprint.
   CoBatchSolver* co_solver = nullptr;
 };
 
@@ -85,6 +85,9 @@ struct PfResult {
 class ProgressiveFrontier {
  public:
   ProgressiveFrontier(const MooProblem* problem, PfConfig config = PfConfig());
+  // solver_ may point at this object's own mogd_.
+  ProgressiveFrontier(const ProgressiveFrontier&) = delete;
+  ProgressiveFrontier& operator=(const ProgressiveFrontier&) = delete;
 
   /// Expands the frontier until it holds at least `total_points` points, the
   /// uncertain space is exhausted, or the probe cap is hit. Returns the
@@ -134,6 +137,8 @@ class ProgressiveFrontier {
   const MooProblem* problem_;
   PfConfig config_;
   MogdSolver mogd_;
+  /// Every MOGD solve goes here: config_.co_solver when set, else &mogd_.
+  CoBatchSolver* solver_;
   ExhaustiveSolver exhaustive_;
   bool initialized_ = false;
   bool box_empty_ = false;

@@ -115,9 +115,6 @@ std::vector<std::optional<CoResult>> SolveCoalescer::SolveBatch(
     const MooProblem& problem, const std::vector<CoProblem>& problems,
     SolvePerf* perf, const StopToken& stop) {
   if (problems.empty()) return {};
-  // Inline (non-coalesced) service for the scalar-descent configuration,
-  // which has no fused path, and for submissions racing shutdown.
-  bool inline_solve = !config_.mogd.batched;
 
   Submission sub;
   sub.problem = &problem;
@@ -126,10 +123,12 @@ std::vector<std::optional<CoResult>> SolveCoalescer::SolveBatch(
   sub.results.resize(problems.size());
   sub.perfs.resize(problems.size());
   sub.remaining = static_cast<int>(problems.size());
+  // Submissions racing shutdown are solved inline, not coalesced.
+  bool inline_solve = false;
   {
     MutexLock lock(mu_);
-    if (inline_solve || shutdown_) {
-      inline_solve = true;
+    inline_solve = shutdown_;
+    if (inline_solve) {
       ++stats_.inline_fallbacks;
     } else {
       sub.enqueued = Clock::now();

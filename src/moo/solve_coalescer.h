@@ -101,8 +101,7 @@ class SolveCoalescer : public CoBatchSolver {
 
   /// CoBatchSolver surface: blocks until every problem in `problems` is
   /// solved, possibly fused with concurrent submissions. Falls back to an
-  /// inline MogdSolver::SolveBatch when batching is off in the config or the
-  /// coalescer is shutting down.
+  /// inline MogdSolver::SolveBatch when the coalescer is shutting down.
   std::vector<std::optional<CoResult>> SolveBatch(
       const MooProblem& problem, const std::vector<CoProblem>& problems,
       SolvePerf* perf, const StopToken& stop) override;
@@ -192,7 +191,7 @@ class SolveCoalescer : public CoBatchSolver {
   const SolveCoalescerConfig config_;
   /// Solver all fused chunks run on; shares config_.mogd (and its pool
   /// pointer, though chunks never use it -- they ARE the parallelism).
-  const MogdSolver solver_;
+  MogdSolver solver_;
 
   mutable Mutex mu_;
   CondVar flush_cv_;  ///< Wakes the flusher (arrival/shutdown).

@@ -104,12 +104,13 @@ UdaoService::UdaoService(ModelServer* server, UdaoServiceConfig config)
   // The coalescer shares the solver's exact MogdConfig (seed, iterations,
   // pool) -- the bitwise-determinism contract -- and the PF instances built
   // per request route their CO subproblems through it via pf_config_.
-  if (config_.coalesce_solves && udao_.options().pf.mogd.batched) {
+  const MogdConfig& mogd = udao_.options().pf.mogd;
+  if (config_.coalesce_solves) {
     SolveCoalescerConfig cc;
     cc.max_batch = config_.coalesce_max_batch;
     cc.max_wait_us = config_.coalesce_max_wait_us;
     cc.memo_capacity = config_.coalesce_memo_capacity;
-    cc.mogd = udao_.options().pf.mogd;
+    cc.mogd = mogd;
     coalescer_ = std::make_unique<SolveCoalescer>(cc);
   }
   pf_config_ = udao_.options().pf;
@@ -117,9 +118,12 @@ UdaoService::UdaoService(ModelServer* server, UdaoServiceConfig config)
 
   // Stage-level solver: per-stage Minimize calls route through the same
   // coalescer as the frontier solves, so boundary re-solves from concurrent
-  // requests coalesce with everything else in flight.
+  // requests coalesce with everything else in flight. It solves with the
+  // coalescer's MogdConfig even when coalescing is off, so per-stage knobs
+  // never depend on coalesce_solves.
   if (config_.engine != nullptr) {
     HierarchicalConfig hc;
+    hc.mogd = mogd;
     hc.co_solver = coalescer_.get();
     hierarchical_ = std::make_unique<HierarchicalMoo>(config_.engine, hc);
   }
@@ -570,8 +574,26 @@ void UdaoService::AccountResponse(
   }
 }
 
-void UdaoService::SubmitInternal(const UdaoRequest& request, Callback done) {
-  UDAO_CHECK(done != nullptr);
+RequestTicket UdaoService::Submit(const UdaoRequest& request) {
+  RequestTicket ticket;
+  ticket.state_ = std::make_shared<RequestTicket::State>();
+  // Delivery into the ticket. Notify while holding the lock: a Wait()er may
+  // otherwise observe the result and destroy the last ticket copy before
+  // NotifyAll touches cv. The lambda's own shared_ptr keeps the state alive
+  // regardless.
+  auto deliver = [state = ticket.state_](StatusOr<UdaoRecommendation> r) {
+    RequestTicket::State* s = state.get();
+    MutexLock lock(s->mu);
+    s->result.emplace(std::move(r));
+    s->cv.NotifyAll();
+  };
+  // Either source firing -- the caller's own token or the ticket's Cancel()
+  // -- stops this request's solve; composing here keeps the solve stack
+  // single-token.
+  UdaoRequest composed = request;
+  composed.options.cancel = CancellationToken::Any(
+      request.options.cancel, ticket.state_->cancel.token());
+
   const bool emit = request.options.metrics;
   requests_.fetch_add(1, std::memory_order_relaxed);
   if (emit) UDAO_METRIC_COUNTER_ADD("udao.service.requests", 1);
@@ -594,17 +616,17 @@ void UdaoService::SubmitInternal(const UdaoRequest& request, Callback done) {
                                 std::to_string(config_.max_queue_depth) +
                                 ")");
         AccountResponse(rejected, emit);
-        done(std::move(rejected));
-        return;
+        deliver(std::move(rejected));
+        return ticket;
       }
       case ShedPolicy::kServeStaleCache: {
         // Step-3-only work (microseconds): cheap enough for the caller's
         // thread, which is the point -- no queue slot consumed.
         StatusOr<UdaoRecommendation> stale =
-            ServeStale(request, CacheKey(request), /*queue_wait_ms=*/0.0);
+            ServeStale(composed, CacheKey(composed), /*queue_wait_ms=*/0.0);
         AccountResponse(stale, emit);
-        done(std::move(stale));
-        return;
+        deliver(std::move(stale));
+        return ticket;
       }
       case ShedPolicy::kDegrade:
         degrade_admission = true;
@@ -617,9 +639,7 @@ void UdaoService::SubmitInternal(const UdaoRequest& request, Callback done) {
       "udao.service.queue_depth",
       static_cast<double>(queue_depth_.load(std::memory_order_relaxed)));
   const auto enqueued = std::chrono::steady_clock::now();
-  // Init-capture: a plain-copy capture of the const reference parameter
-  // would keep its const, and the degrade clamp below mutates the deadline.
-  admission_.Submit([this, request = request, done = std::move(done), enqueued,
+  admission_.Submit([this, request = std::move(composed), deliver, enqueued,
                      degrade_admission, shed, emit]() mutable {
     const double queue_wait_ms = NowMs(enqueued);
     if (emit) {
@@ -651,28 +671,7 @@ void UdaoService::SubmitInternal(const UdaoRequest& request, Callback done) {
     }();
     AccountResponse(out, emit);
     queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-    done(std::move(out));
-  });
-}
-
-RequestTicket UdaoService::Submit(const UdaoRequest& request) {
-  RequestTicket ticket;
-  ticket.state_ = std::make_shared<RequestTicket::State>();
-  std::shared_ptr<RequestTicket::State> state = ticket.state_;
-  UdaoRequest composed = request;
-  // Either source firing -- the caller's own token or the ticket's Cancel()
-  // -- stops this request's solve; composing here keeps the solve stack
-  // single-token.
-  composed.options.cancel = CancellationToken::Any(
-      request.options.cancel, state->cancel.token());
-  SubmitInternal(composed, [state](StatusOr<UdaoRecommendation> r) {
-    // Notify while holding the lock: a Wait()er may otherwise observe the
-    // result and destroy the last ticket copy before NotifyAll touches cv.
-    // The delivery lambda's own shared_ptr keeps the state alive regardless.
-    RequestTicket::State* s = state.get();
-    MutexLock lock(s->mu);
-    s->result.emplace(std::move(r));
-    s->cv.NotifyAll();
+    deliver(std::move(out));
   });
   return ticket;
 }

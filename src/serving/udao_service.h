@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -51,7 +50,6 @@ struct UdaoServiceConfig {
   /// asking for frontiers drive a few big GEMM streams instead of N small
   /// interleaved ones. Results stay bitwise-identical to solo solves; the
   /// only cost is up to coalesce_max_wait_us added latency per solve round.
-  /// Ignored (no coalescer built) when the solver config is not batched.
   bool coalesce_solves = true;
   int coalesce_max_batch = 32;
   double coalesce_max_wait_us = 200.0;
@@ -76,7 +74,9 @@ struct UdaoServiceConfig {
   /// (RequestOptions::adaptive.granularity == kStage) and boundary
   /// re-solves (ResolveStages). Non-owning; must outlive the service. Null
   /// disables stage-level tuning: kStage requests are served job-level (the
-  /// overlay stays empty), ResolveStages fails FailedPrecondition.
+  /// overlay stays empty), ResolveStages fails FailedPrecondition. Stage
+  /// solves use `udao.pf.mogd`, the coalescer's config, whether or not
+  /// coalesce_solves is on, so the per-stage knobs do not depend on it.
   const SparkEngine* engine = nullptr;
 };
 
@@ -197,14 +197,9 @@ class RequestTicket {
 ///
 /// Lifetime: the caller keeps `server`, request spaces, and any explicit
 /// request models alive for the service's lifetime. The destructor drains
-/// in-flight requests. Callbacks run on admission workers (or, for shed
-/// requests, on the calling thread): keep them light and never block on
-/// another ticket or call the synchronous Optimize() from inside one (it
-/// would wait for a worker slot while holding one).
+/// in-flight requests.
 class UdaoService {
  public:
-  using Callback = std::function<void(StatusOr<UdaoRecommendation>)>;
-
   explicit UdaoService(ModelServer* server,
                        UdaoServiceConfig config = UdaoServiceConfig());
 
@@ -325,9 +320,6 @@ class UdaoService {
   /// budget-truncated results are never inserted.
   std::string CacheKey(const UdaoRequest& request) const;
 
-  /// Core admission path shared by Submit and the deprecated wrappers.
-  void SubmitInternal(const UdaoRequest& request, Callback done);
-
   /// The whole request path; runs on an admission worker. `queue_wait_ms`
   /// is surfaced in the returned recommendation.
   StatusOr<UdaoRecommendation> Handle(const UdaoRequest& request,
@@ -386,10 +378,10 @@ class UdaoService {
   /// (the canonical SolverOptions byte serialization).
   std::string options_fingerprint_;
 
-  /// Cross-request solve coalescer (null when coalescing is off or the
-  /// solver config is not batched). Declared after udao_ so it is destroyed
-  /// FIRST: its destructor waits out fused chunks running on udao_'s solver
-  /// pool, which must still be alive at that point.
+  /// Cross-request solve coalescer (null when coalescing is off). Declared
+  /// after udao_ so it is destroyed FIRST: its destructor waits out fused
+  /// chunks running on udao_'s solver pool, which must still be alive at
+  /// that point.
   std::unique_ptr<SolveCoalescer> coalescer_;
   /// udao_.options().pf with co_solver pointed at coalescer_; what Handle
   /// actually constructs ProgressiveFrontier with. co_solver is excluded

@@ -45,7 +45,7 @@ struct PipelineOptions {
   int max_points = 64;        ///< Thinning cap on composed frontiers.
   /// Conservative stage-point values F~ = E[F] + alpha std[F] before
   /// composing, so pipeline plans avoid configurations whose appeal rests on
-  /// model holes (same guard as UdaoOptions::uncertainty_alpha).
+  /// model holes (same guard as SolverOptions::uncertainty_alpha).
   double uncertainty_alpha = 1.0;
   /// Worker threads for the per-stage PF-AP fan-out; one ThreadPool is
   /// created at construction and shared by every stage solve (a caller-set

@@ -21,7 +21,6 @@ void SolverOptions::AppendFingerprint(std::string* out) const {
   AppendPod(out, pf.mogd.max_iters);
   AppendPod(out, pf.mogd.learning_rate);
   AppendPod(out, pf.mogd.alpha);
-  AppendPod(out, pf.mogd.batched);
   AppendPod(out, pf.mogd.seed);
   AppendPod(out, frontier_points);
   AppendPod(out, workload_aware);
@@ -36,7 +35,7 @@ std::string SolverOptions::Fingerprint() const {
 
 std::string SolverOptions::FingerprintHex() const { return ToHex(Fingerprint()); }
 
-Udao::Udao(ModelServer* server, UdaoOptions options)
+Udao::Udao(ModelServer* server, SolverOptions options)
     : server_(server), options_(options) {
   UDAO_CHECK(server_ != nullptr);
   if (options_.pf.mogd.pool == nullptr && options_.solver_threads > 1) {

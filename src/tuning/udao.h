@@ -138,7 +138,6 @@ struct UdaoRequest {
   /// cost-in-cores is served analytically (it is a certain function of the
   /// knobs), other objectives come from the model server with a
   /// non-negativity floor.
-  using Objective = ObjectiveSpec;
   std::vector<ObjectiveSpec> objectives;
 
   /// External (application) preference weights, one per objective; empty
@@ -236,11 +235,6 @@ struct SolverOptions {
   std::string FingerprintHex() const;
 };
 
-/// Historic name from before the options consolidation; the service/bench
-/// layers still spell it both ways (same precedent as MooObjective ->
-/// ObjectiveSpec).
-using UdaoOptions = SolverOptions;
-
 /// UDAO: the Spark-based Unified Data Analytics Optimizer (Fig. 1(a)).
 ///
 /// Given a request, it pulls the workload's latest objective models from the
@@ -254,7 +248,7 @@ using UdaoOptions = SolverOptions;
 class Udao {
  public:
   /// `server` owns the models; the optimizer refreshes them lazily on use.
-  Udao(ModelServer* server, UdaoOptions options = UdaoOptions());
+  Udao(ModelServer* server, SolverOptions options = SolverOptions());
 
   /// Handles one request end to end. NotFound when the workload has no
   /// traces yet for some requested objective -- callers should run the
@@ -301,11 +295,11 @@ class Udao {
   std::vector<MooPoint> ConservativeRank(
       const MooProblem& problem, const std::vector<MooPoint>& points) const;
 
-  const UdaoOptions& options() const { return options_; }
+  const SolverOptions& options() const { return options_; }
 
  private:
   ModelServer* server_;
-  UdaoOptions options_;
+  SolverOptions options_;
   /// Lives as long as the optimizer; options_.pf.mogd.pool points here
   /// unless the caller supplied a pool of their own.
   std::unique_ptr<ThreadPool> pool_;

@@ -15,9 +15,9 @@ namespace {
 
 MooProblem LatencyCostProblem(const AnalyticWorkload& workload) {
   return MooProblem(&BatchParamSpace(),
-                    {MooObjective{"latency",
-                                  MakeAnalyticBatchLatencyModel(workload)},
-                     MooObjective{"cost_cores", MakeCostCoresModel()}});
+                    {ObjectiveSpec{"latency",
+                                   MakeAnalyticBatchLatencyModel(workload)},
+                     ObjectiveSpec{"cost_cores", MakeCostCoresModel()}});
 }
 
 PfConfig FastConfig() {
@@ -103,8 +103,8 @@ TEST(AnalyticMooTest, WunTracksPreferencesOnAnalyticFrontier) {
 TEST(AnalyticMooTest, CpuHourObjectiveComposes) {
   auto latency = MakeAnalyticBatchLatencyModel(AnalyticWorkload{});
   MooProblem problem(&BatchParamSpace(),
-                     {MooObjective{"latency", latency},
-                      MooObjective{"cpu_hour", MakeCpuHourModel(latency)}});
+                     {ObjectiveSpec{"latency", latency},
+                      ObjectiveSpec{"cpu_hour", MakeCpuHourModel(latency)}});
   ProgressiveFrontier pf(&problem, FastConfig());
   const PfResult& result = pf.Run(10);
   EXPECT_GE(result.frontier.size(), 3u);

@@ -1,9 +1,9 @@
 // Equivalence of the batched model-inference surface with the scalar one:
 // PredictBatch / GradientBatch / PredictWithUncertaintyBatch must reproduce
 // the per-point entry points exactly for every ObjectiveModel subclass, and
-// the solvers built on top (MOGD lockstep multistarts, SolveBatch on a
-// thread pool) must return identical solutions regardless of batching mode,
-// thread count, or repetition.
+// the solvers built on top must return identical solutions: MOGD's lockstep
+// multistarts against the one-start-at-a-time reference
+// (mogd_reference.h), SolveBatch regardless of thread count or repetition.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +17,7 @@
 #include "moo/mogd.h"
 #include "moo/problem.h"
 #include "moo/progressive_frontier.h"
+#include "mogd_reference.h"
 #include "test_problems.h"
 
 namespace udao {
@@ -24,6 +25,8 @@ namespace {
 
 using testing_problems::ConvexProblem;
 using testing_problems::UnitSpace2;
+using testing_reference::ReferenceMinimize;
+using testing_reference::ReferenceSolveCo;
 
 Matrix RandomPoints(int n, int dim, uint64_t seed) {
   Rng rng(seed);
@@ -215,38 +218,33 @@ CoProblem CenterBox(const MooProblem& problem) {
 TEST(BatchEvalTest, MogdBatchedMatchesScalarSolutions) {
   std::shared_ptr<MlpModel> keep;
   MooProblem dnn = DnnProblem(&keep);
-  for (const MooProblem* problem : {&dnn}) {
-    MogdConfig batched = SmallConfig();
-    batched.batched = true;
-    MogdConfig scalar = SmallConfig();
-    scalar.batched = false;
-
-    const CoProblem co = CenterBox(*problem);
-    auto r_batched = MogdSolver(batched).SolveCo(*problem, co);
-    auto r_scalar = MogdSolver(scalar).SolveCo(*problem, co);
-    ASSERT_EQ(r_batched.has_value(), r_scalar.has_value());
-    if (r_batched.has_value()) {
-      EXPECT_EQ(r_batched->x, r_scalar->x);
-      EXPECT_EQ(r_batched->target_value, r_scalar->target_value);
-      EXPECT_EQ(r_batched->objectives, r_scalar->objectives);
-    }
-
-    for (int target : {0, 1}) {
-      CoResult m_batched = MogdSolver(batched).Minimize(*problem, target);
-      CoResult m_scalar = MogdSolver(scalar).Minimize(*problem, target);
-      EXPECT_EQ(m_batched.x, m_scalar.x) << "target " << target;
-      EXPECT_EQ(m_batched.target_value, m_scalar.target_value)
-          << "target " << target;
-    }
+  const MogdConfig cfg = SmallConfig();
+  const CoProblem co = CenterBox(dnn);
+  auto batched = MogdSolver(cfg).SolveCo(dnn, co);
+  auto scalar = ReferenceSolveCo(dnn, co, cfg, cfg.seed);
+  ASSERT_EQ(batched.has_value(), scalar.has_value());
+  if (batched.has_value()) {
+    EXPECT_EQ(batched->x, scalar->x);
+    EXPECT_EQ(batched->raw, scalar->raw);
+    EXPECT_EQ(batched->target_value, scalar->target_value);
+    EXPECT_EQ(batched->objectives, scalar->objectives);
   }
+
+  for (int target : {0, 1}) {
+    CoResult m_batched = MogdSolver(cfg).Minimize(dnn, target);
+    CoResult m_scalar = ReferenceMinimize(dnn, target, cfg);
+    EXPECT_EQ(m_batched.x, m_scalar.x) << "target " << target;
+    EXPECT_EQ(m_batched.target_value, m_scalar.target_value)
+        << "target " << target;
+    EXPECT_EQ(m_batched.objectives, m_scalar.objectives)
+        << "target " << target;
+  }
+
   // Same equivalence on the callable convex problem (default batch loops).
   MooProblem convex = ConvexProblem();
-  MogdConfig batched = SmallConfig();
-  MogdConfig scalar = SmallConfig();
-  scalar.batched = false;
-  const CoProblem co = CenterBox(convex);
-  auto r_batched = MogdSolver(batched).SolveCo(convex, co);
-  auto r_scalar = MogdSolver(scalar).SolveCo(convex, co);
+  const CoProblem convex_co = CenterBox(convex);
+  auto r_batched = MogdSolver(cfg).SolveCo(convex, convex_co);
+  auto r_scalar = ReferenceSolveCo(convex, convex_co, cfg, cfg.seed);
   ASSERT_EQ(r_batched.has_value(), r_scalar.has_value());
   if (r_batched.has_value()) {
     EXPECT_EQ(r_batched->x, r_scalar->x);

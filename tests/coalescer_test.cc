@@ -4,7 +4,8 @@
 // submissions share windows, fuse groups, or chunks -- and visible only in
 // the counters (fused chunks, cross-request problems) and the wall clock.
 // Also covers the serving layer's RequestTicket/Submit surface and shard
-// routing, which exist to feed the coalescer concurrent traffic.
+// routing, which exist to feed the coalescer concurrent traffic, and its
+// stage-level refinement, whose per-stage solves the coalescer also serves.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,10 +15,13 @@
 
 #include "common/fault_injector.h"
 #include "common/random.h"
+#include "model/analytic_models.h"
 #include "moo/progressive_frontier.h"
 #include "moo/solve_coalescer.h"
 #include "serving/udao_service.h"
+#include "spark/engine.h"
 #include "test_problems.h"
+#include "workload/tpcxbb.h"
 
 namespace udao {
 namespace {
@@ -313,7 +317,7 @@ TEST(SolveCoalescerTest, ConcurrentIdenticalMinimizesShareOneDescent) {
     return (1.0 - x[0]) * (1.0 - x[0]) + x[1];
   });
   const MooProblem problem(&testing_problems::UnitSpace2(),
-                           {MooObjective{"g1", f1}, MooObjective{"g2", f2}});
+                           {ObjectiveSpec{"g1", f1}, ObjectiveSpec{"g2", f2}});
   SolveCoalescerConfig cc;
   cc.mogd = FastMogd();
   SolveCoalescer coalescer(cc);
@@ -562,6 +566,41 @@ TEST(UdaoServiceCoalescingTest, ConcurrentSubmissionsMatchSoloBitwise) {
       }
     }
   }
+}
+
+// Stage-level refinement (kStage) must not depend on coalesce_solves either:
+// with it off the per-stage solves run on the service's own HierarchicalMoo
+// solver, with it on they go through the coalescer, and both must descend
+// with the same MogdConfig to return the same per-stage knobs.
+TEST(UdaoServiceCoalescingTest, StageRefinementMatchesWithCoalescingOnAndOff) {
+  const SparkEngine engine;
+  const BatchWorkload job = MakeTpcxbbWorkload(1);
+  UdaoRequest request;
+  request.workload_id = job.id;
+  request.space = &BatchParamSpace();
+  request.flow = &job.flow;
+  request.objectives = {
+      ObjectiveSpec{"lat", MakeAnalyticBatchLatencyModel(AnalyticWorkload{})},
+      ObjectiveSpec{"cost", MakeCostCoresModel()}};
+  request.preference_weights = {0.9, 0.1};
+  request.options.adaptive.granularity = AdaptiveGranularity::kStage;
+  request.options.adaptive.resolve_budget_ms = 10000.0;  // no deadline binds
+
+  ModelServer server;
+  std::vector<UdaoRecommendation> recs;
+  for (const bool coalesce : {true, false}) {
+    UdaoServiceConfig config;
+    config.engine = &engine;
+    config.coalesce_solves = coalesce;
+    UdaoService service(&server, config);
+    auto rec = service.Submit(request).Wait();
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ASSERT_FALSE(rec->stage_overlay.empty()) << "coalesce=" << coalesce;
+    recs.push_back(std::move(*rec));
+  }
+  EXPECT_EQ(recs[0].conf_raw, recs[1].conf_raw);
+  EXPECT_EQ(recs[0].stage_overlay.overrides, recs[1].stage_overlay.overrides);
+  EXPECT_EQ(recs[0].stage_confs, recs[1].stage_confs);
 }
 
 // One batched request's model resolution failing must not poison its

@@ -136,21 +136,18 @@ TEST(FaultInjectorTest, ResetDisarmsEverything) {
 
 TEST(DeadlineSolveTest, MinimizeWithExpiredBudgetReturnsFiniteIncumbent) {
   const MooProblem problem = testing_problems::ConvexProblem();
-  for (const bool batched : {true, false}) {
-    MogdConfig config;
-    config.multistart = 4;
-    config.max_iters = 50;
-    config.batched = batched;
-    const MogdSolver solver(config);
-    // The first iteration is unconditional, so even a dead-on-arrival budget
-    // produces a real evaluated point (the UDAO_CHECK(isfinite) inside
-    // Minimize depends on this).
-    const CoResult r = solver.Minimize(problem, 0, nullptr,
-                                       StopToken(Deadline::AfterMs(0.0)));
-    EXPECT_TRUE(std::isfinite(r.target_value)) << "batched=" << batched;
-    EXPECT_FALSE(r.x.empty());
-    EXPECT_FALSE(r.objectives.empty());
-  }
+  MogdConfig config;
+  config.multistart = 4;
+  config.max_iters = 50;
+  MogdSolver solver(config);
+  // The first iteration is unconditional, so even a dead-on-arrival budget
+  // produces a real evaluated point (the UDAO_CHECK(isfinite) inside
+  // Minimize depends on this).
+  const CoResult r = solver.Minimize(problem, 0, nullptr,
+                                     StopToken(Deadline::AfterMs(0.0)));
+  EXPECT_TRUE(std::isfinite(r.target_value));
+  EXPECT_FALSE(r.x.empty());
+  EXPECT_FALSE(r.objectives.empty());
 }
 
 TEST(DeadlineSolveTest, SolveCoWithExpiredBudgetStillEvaluatesOnce) {
@@ -159,17 +156,14 @@ TEST(DeadlineSolveTest, SolveCoWithExpiredBudgetStillEvaluatesOnce) {
   co.target = 0;
   co.lower = {0.0, 0.0};
   co.upper = {10.0, 10.0};  // wide open: the first evaluation is feasible
-  for (const bool batched : {true, false}) {
-    MogdConfig config;
-    config.multistart = 4;
-    config.max_iters = 50;
-    config.batched = batched;
-    const MogdSolver solver(config);
-    const auto r = solver.SolveCo(problem, co, nullptr,
-                                  StopToken(Deadline::AfterMs(0.0)));
-    ASSERT_TRUE(r.has_value()) << "batched=" << batched;
-    EXPECT_TRUE(std::isfinite(r->target_value));
-  }
+  MogdConfig config;
+  config.multistart = 4;
+  config.max_iters = 50;
+  const MogdSolver solver(config);
+  const auto r = solver.SolveCo(problem, co, nullptr,
+                                StopToken(Deadline::AfterMs(0.0)));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(std::isfinite(r->target_value));
 }
 
 // --------------------------------------------------------------- PF anytime
@@ -213,8 +207,8 @@ TEST(DeadlineSolveTest, DeadlineExpiringDuringFirstExpansionDegrades) {
 
 // ------------------------------------------------------------ Udao / service
 
-UdaoOptions FastOptions() {
-  UdaoOptions options;
+SolverOptions FastOptions() {
+  SolverOptions options;
   options.pf.mogd.multistart = 4;
   options.pf.mogd.max_iters = 40;
   options.solver_threads = 2;

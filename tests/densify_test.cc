@@ -142,8 +142,8 @@ TEST(DensifyTest, BitwiseDeterministicPerBackendAndParityAcrossBackends) {
   auto m1 = MlpModel::Fit(x, y1, cfg, &fit1);
   auto m2 = MlpModel::Fit(x, y2, cfg, &fit2);
   ASSERT_TRUE(m1.ok() && m2.ok());
-  const MooProblem problem(&UnitSpace2(),
-                           {MooObjective{"m1", *m1}, MooObjective{"m2", *m2}});
+  const MooProblem problem(
+      &UnitSpace2(), {ObjectiveSpec{"m1", *m1}, ObjectiveSpec{"m2", *m2}});
 
   std::vector<MooPoint> input;
   for (const double x0 : {0.1, 0.5, 0.9}) {

@@ -42,7 +42,7 @@ class DeterminismTest : public ::testing::Test {
   }
 
   UdaoRecommendation OptimizeWithThreads(int solver_threads) {
-    UdaoOptions options;
+    SolverOptions options;
     options.pf.mogd.multistart = 4;
     options.pf.mogd.max_iters = 60;
     options.solver_threads = solver_threads;
@@ -116,7 +116,7 @@ TEST_F(DeterminismTest, GenerousDeadlineDoesNotPerturbResults) {
   // and returns the bitwise-identical recommendation, untagged.
   const UdaoRecommendation plain = OptimizeWithThreads(4);
 
-  UdaoOptions options;
+  SolverOptions options;
   options.pf.mogd.multistart = 4;
   options.pf.mogd.max_iters = 60;
   options.solver_threads = 4;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "model/encoder.h"
 #include "spark/engine.h"
 #include "spark/streaming.h"
 #include "tuning/udao.h"
@@ -14,8 +13,8 @@
 namespace udao {
 namespace {
 
-UdaoOptions FastOptions() {
-  UdaoOptions options;
+SolverOptions FastOptions() {
+  SolverOptions options;
   options.pf.mogd.multistart = 4;
   options.pf.mogd.max_iters = 80;
   options.solver_threads = 4;
@@ -142,7 +141,7 @@ TEST(UdaoStreamingTest, LatencyThroughputTradeoffEndToEnd) {
                                SamplingStrategy::kLatinHypercube, &rng);
   CollectStreamTraces(engine, w, configs, &server);
 
-  UdaoOptions options = FastOptions();
+  SolverOptions options = FastOptions();
   options.workload_aware = false;
   Udao optimizer(&server, options);
   UdaoRequest request;
@@ -184,57 +183,6 @@ TEST(UdaoRetrainTest, RecommendationsTrackModelUpdates) {
   auto r2 = optimizer.Optimize(request);
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(BatchParamSpace().Validate(r2->conf_raw).ok());
-}
-
-TEST(WorkloadEncoderIntegration, EncodingsClusterByTemplate) {
-  // Metric vectors from the simulator: several variants each of a small SQL
-  // template and a heavy UDF template. Encodings of runs of the same
-  // template should sit closer together than across templates -- the
-  // property that makes cross-workload (cold-start) prediction work.
-  SparkEngine engine;
-  Rng rng(21);
-  std::vector<Vector> rows;
-  std::vector<int> label;
-  for (int variant = 0; variant < 4; ++variant) {
-    for (int t : {7, 2}) {  // small SQL vs heavy UDF
-      BatchWorkload w =
-          MakeTpcxbbWorkload(t + variant * kNumTpcxbbTemplates);
-      for (int run = 0; run < 3; ++run) {
-        const Vector conf = BatchParamSpace().Sample(&rng);
-        rows.push_back(engine.Run(w.flow, conf).ToVector());
-        label.push_back(t);
-      }
-    }
-  }
-  EncoderConfig cfg;
-  cfg.encoding_dim = 3;
-  cfg.hidden = 24;
-  cfg.train.epochs = 250;
-  auto encoder =
-      WorkloadEncoder::Fit(Matrix::FromRows(rows), cfg, &rng);
-  ASSERT_TRUE(encoder.ok()) << encoder.status().ToString();
-
-  std::vector<Vector> encodings;
-  for (const Vector& row : rows) {
-    encodings.push_back((*encoder)->Encode(row));
-  }
-  double intra = 0.0;
-  double inter = 0.0;
-  int n_intra = 0;
-  int n_inter = 0;
-  for (size_t i = 0; i < encodings.size(); ++i) {
-    for (size_t j = i + 1; j < encodings.size(); ++j) {
-      const double dist = SquaredDistance(encodings[i], encodings[j]);
-      if (label[i] == label[j]) {
-        intra += dist;
-        ++n_intra;
-      } else {
-        inter += dist;
-        ++n_inter;
-      }
-    }
-  }
-  EXPECT_LT(intra / n_intra, 0.6 * inter / n_inter);
 }
 
 }  // namespace

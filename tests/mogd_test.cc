@@ -133,8 +133,8 @@ TEST(MogdTest, UncertaintyAlphaMakesValuesConservative) {
   auto noisy = std::make_shared<Noisy>();
   auto other = std::make_shared<CallableModel>(
       "o", 2, [](const Vector& x) { return 1.0 - x[0]; });
-  MooProblem problem(&UnitSpace2(), {MooObjective{"noisy", noisy},
-                                     MooObjective{"o", other}});
+  MooProblem problem(&UnitSpace2(), {ObjectiveSpec{"noisy", noisy},
+                                     ObjectiveSpec{"o", other}});
   MogdConfig cfg = FastConfig();
   cfg.alpha = 1.0;
   MogdSolver solver(cfg);
@@ -152,7 +152,7 @@ TEST(MogdTest, MaximizationObjectiveIsNegatedInternally) {
   auto up = std::make_shared<CallableModel>(
       "up", 2, [](const Vector& x) { return x[0]; });
   MooProblem problem(&UnitSpace2(),
-                     {MooObjective{"up", up, /*minimize=*/false}});
+                     {ObjectiveSpec{"up", up, /*minimize=*/false}});
   MogdSolver solver(FastConfig());
   CoResult r = solver.Minimize(problem, 0);
   // Minimizing -x0 drives x0 to 1.

@@ -168,10 +168,10 @@ TEST(PfTest, UserConstraintsRestrictTheFrontier) {
   auto f2 = std::make_shared<CallableModel>("f2", 2, [](const Vector& x) {
     return (1.0 - x[0]) * (1.0 - x[0]) + x[1];
   });
-  MooObjective o1{"f1", f1};
+  ObjectiveSpec o1{"f1", f1};
   o1.lower = 0.3;
   o1.upper = 0.7;
-  MooObjective o2{"f2", f2};
+  ObjectiveSpec o2{"f2", f2};
   MooProblem problem(&testing_problems::UnitSpace2(), {o1, o2});
   ProgressiveFrontier pf(&problem, FastSequential());
   const PfResult& result = pf.Run(8);
@@ -194,8 +194,8 @@ TEST(PfTest, FourObjectivesUseQmcHypervolume) {
     return (1 - x[1]) * (1 - x[1]);
   });
   MooProblem problem(&testing_problems::UnitSpace2(),
-                     {MooObjective{"f1", f1}, MooObjective{"f2", f2},
-                      MooObjective{"f3", f3}, MooObjective{"f4", f4}});
+                     {ObjectiveSpec{"f1", f1}, ObjectiveSpec{"f2", f2},
+                      ObjectiveSpec{"f3", f3}, ObjectiveSpec{"f4", f4}});
   PfConfig cfg = FastSequential();
   cfg.max_probes = 60;
   ProgressiveFrontier pf(&problem, cfg);

@@ -294,7 +294,7 @@ TEST(RaceStressTest, DnnFineTuneLeavesRetainedHandlesUntouched) {
 
 // ------------------------------------------------------------- UdaoService
 
-// Client threads hammer the serving layer's synchronous Optimize while an
+// Client threads hammer the serving layer's Submit().Wait() while an
 // ingest thread keeps bumping the workload generation: cache lookups,
 // inserts, LRU touches, and generation-based invalidations all race here.
 // Every request must still come back with a valid recommendation (the

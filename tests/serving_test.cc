@@ -19,8 +19,8 @@ namespace {
 
 using testing_problems::UnitSpace2;
 
-UdaoOptions FastOptions() {
-  UdaoOptions options;
+SolverOptions FastOptions() {
+  SolverOptions options;
   options.pf.mogd.multistart = 4;
   options.pf.mogd.max_iters = 40;
   options.solver_threads = 2;

@@ -30,7 +30,7 @@ inline MooProblem ConvexProblem() {
     return (1.0 - x[0]) * (1.0 - x[0]) + x[1];
   });
   return MooProblem(&UnitSpace2(),
-                    {MooObjective{"f1", f1}, MooObjective{"f2", f2}});
+                    {ObjectiveSpec{"f1", f1}, ObjectiveSpec{"f2", f2}});
 }
 
 /// ZDT2-style problem whose frontier (F2 = 1 - F1^2) is non-convex, the
@@ -43,7 +43,7 @@ inline MooProblem ConcaveProblem() {
     return g * (1.0 - (x[0] / g) * (x[0] / g));
   });
   return MooProblem(&UnitSpace2(),
-                    {MooObjective{"f1", f1}, MooObjective{"f2", f2}});
+                    {ObjectiveSpec{"f1", f1}, ObjectiveSpec{"f2", f2}});
 }
 
 /// Three-objective problem over the same space: F3 trades against both.
@@ -55,9 +55,9 @@ inline MooProblem Tri() {
   auto f3 = std::make_shared<CallableModel>("f3", 2, [](const Vector& x) {
     return (1 - x[0]) * (1 - x[0]) + (1 - x[1]) * (1 - x[1]);
   });
-  return MooProblem(&UnitSpace2(), {MooObjective{"f1", f1},
-                                    MooObjective{"f2", f2},
-                                    MooObjective{"f3", f3}});
+  return MooProblem(&UnitSpace2(), {ObjectiveSpec{"f1", f1},
+                                    ObjectiveSpec{"f2", f2},
+                                    ObjectiveSpec{"f3", f3}});
 }
 
 }  // namespace testing_problems

@@ -287,9 +287,9 @@ int CmdFrontier(const Args& args) {
   }
   MooProblem problem(
       &BatchParamSpace(),
-      {MooObjective{objectives::kLatency,
-                    std::make_shared<NonNegativeModel>(*latency)},
-       MooObjective{objectives::kCostCores, MakeCostCoresModel()}});
+      {ObjectiveSpec{objectives::kLatency,
+                     std::make_shared<NonNegativeModel>(*latency)},
+       ObjectiveSpec{objectives::kCostCores, MakeCostCoresModel()}});
 
   const int points = args.GetInt("points", 15);
   const std::string method = args.Get("method", "PF-AP");
