@@ -10,13 +10,6 @@ namespace udao {
 
 namespace {
 
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 // FNV-1a over the metric name; stable so a metric always maps to one stripe.
 size_t StripeHash(const std::string& name) {
   uint64_t h = 1469598103934665603ull;
@@ -70,22 +63,6 @@ void AppendJsonNumber(double v, std::string* out) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   *out += buf;
-}
-
-// Thread-local trace assembly: the nodes of the in-progress tree plus the
-// index of the innermost open span. When the last open span closes, the
-// finished tree moves to the registry. No locking: each thread owns its own
-// buffer, and pool workers therefore produce one tree per task chain.
-struct ThreadTrace {
-  std::vector<SpanNode> nodes;
-  int current = -1;
-  int open = 0;
-  uint64_t root_start_ns = 0;
-};
-
-ThreadTrace& LocalTrace() {
-  thread_local ThreadTrace trace;
-  return trace;
 }
 
 }  // namespace
@@ -293,6 +270,33 @@ int MetricsRegistry::BucketIndex(double value) {
 }
 
 #if UDAO_METRICS_ENABLED
+
+namespace {
+
+uint64_t NowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+// Thread-local trace assembly: the nodes of the in-progress tree plus the
+// index of the innermost open span. When the last open span closes, the
+// finished tree moves to the registry. No locking: each thread owns its own
+// buffer, and pool workers therefore produce one tree per task chain.
+struct ThreadTrace {
+  std::vector<SpanNode> nodes;
+  int current = -1;
+  int open = 0;
+  uint64_t root_start_ns = 0;
+};
+
+ThreadTrace& LocalTrace() {
+  thread_local ThreadTrace trace;
+  return trace;
+}
+
+}  // namespace
 
 TraceSpan::TraceSpan(const char* name) {
   ThreadTrace& trace = LocalTrace();

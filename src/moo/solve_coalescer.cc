@@ -19,7 +19,11 @@ using Clock = std::chrono::steady_clock;
 // Problems may fuse into one SolveCoFused call exactly when they evaluate
 // through the same functions: same parameter space (encode/decode) and, per
 // objective, the same model identity and orientation. Constraint bounds and
-// targets live in the CoProblem and differ freely within a group.
+// targets live in the CoProblem and differ freely within a group. The space
+// enters by address, which is only safe within one window (submitters pin
+// their problems for the exchange); dedup and memo keys, which outlive
+// windows, add ParamSpace::AppendStructure so a recycled address misses
+// unless the structure also matches.
 std::string FuseKey(const MooProblem& problem) {
   std::string key;
   AppendPod(&key, reinterpret_cast<uintptr_t>(&problem.space()));
@@ -29,26 +33,6 @@ std::string FuseKey(const MooProblem& problem) {
     AppendPod(&key, obj.minimize);
   }
   return key;
-}
-
-// Structural space content for dedup/memo keys. The fuse key carries the
-// space by address, which is only safe within one window (submitters pin
-// their problems for the exchange); memo entries outlive windows, so -- as
-// in UdaoService::CacheKey -- a recycled address degrades to a miss unless
-// the structure also matches, in which case sharing is semantically sound.
-void AppendSpaceStructure(std::string* key, const ParamSpace& space) {
-  AppendPod(key, space.NumParams());
-  for (const ParamSpec& spec : space.specs()) {
-    AppendString(key, spec.name);
-    AppendPod(key, spec.type);
-    AppendPod(key, spec.lo);
-    AppendPod(key, spec.hi);
-    AppendPod(key, spec.default_value);
-    AppendPod(key, spec.NumCategories());
-    for (const std::string& category : spec.categories) {
-      AppendString(key, category);
-    }
-  }
 }
 
 // Everything in a CoProblem that steers the descent: target objective,
@@ -173,7 +157,7 @@ CoResult SolveCoalescer::Minimize(const MooProblem& problem, int target,
   // the namespace disjoint from CO dedup keys in the shared memo.
   std::string key("min|");
   key += FuseKey(problem);
-  AppendSpaceStructure(&key, problem.space());
+  problem.space().AppendStructure(&key);
   AppendPod(&key, target);
 
   std::shared_ptr<MinFlight> flight;
@@ -248,7 +232,7 @@ CoResult SolveCoalescer::Minimize(const MooProblem& problem, int target,
 void SolveCoalescer::FlusherLoop() {
   while (true) {
     std::vector<Submission*> batch;
-    int batch_problems = 0;
+    [[maybe_unused]] int batch_problems = 0;
     {
       MutexLock lock(mu_);
       if (pending_.empty()) {
@@ -315,7 +299,7 @@ void SolveCoalescer::Flush(std::vector<Submission*> batch) {
       std::shared_ptr<SharedSlot> slot;
       if (dedupable) {
         dkey = fuse_key;
-        AppendSpaceStructure(&dkey, sub->problem->space());
+        sub->problem->space().AppendStructure(&dkey);
         AppendPod(&dkey, i);
         AppendCo(&dkey, (*sub->cos)[i]);
         bool served = false;

@@ -20,17 +20,6 @@ double NowMs(const std::chrono::steady_clock::time_point& since) {
       .count();
 }
 
-// Per-shard metric names are built at construction time, so they cannot go
-// through the UDAO_METRIC_* macros (which require literal names); they hit
-// the registry directly, compiled out with the rest of the instrumentation.
-void EmitShardCounter(const std::string& name) {
-#if UDAO_METRICS_ENABLED
-  MetricsRegistry::Global().AddCounter(name, 1);
-#else
-  (void)name;
-#endif
-}
-
 }  // namespace
 
 /// Shared result slot behind every copy of one ticket. The service-side
@@ -88,13 +77,7 @@ UdaoService::UdaoService(ModelServer* server, UdaoServiceConfig config)
   const int num_shards = std::max(1, config_.cache_shards);
   shards_.reserve(num_shards);
   for (int i = 0; i < num_shards; ++i) {
-    auto shard = std::make_unique<CacheShard>();
-    const std::string prefix = "udao.service.shard" + std::to_string(i) + ".";
-    shard->hits_metric = prefix + "cache_hits";
-    shard->misses_metric = prefix + "cache_misses";
-    shard->invalidations_metric = prefix + "invalidations";
-    shard->evictions_metric = prefix + "evictions";
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<CacheShard>());
   }
   per_shard_capacity_ =
       config_.frontier_cache_capacity > 0
@@ -109,7 +92,6 @@ UdaoService::UdaoService(ModelServer* server, UdaoServiceConfig config)
     SolveCoalescerConfig cc;
     cc.max_batch = config_.coalesce_max_batch;
     cc.max_wait_us = config_.coalesce_max_wait_us;
-    cc.memo_capacity = config_.coalesce_memo_capacity;
     cc.mogd = mogd;
     coalescer_ = std::make_unique<SolveCoalescer>(cc);
   }
@@ -152,20 +134,7 @@ std::string UdaoService::CacheKey(const UdaoRequest& request) const {
   // that scenario degrades to a cache miss; an address recycled by a
   // structurally identical space hits, which is semantically sound.
   AppendPod(&key, request.space);
-  AppendPod(&key, request.space->NumParams());
-  for (const ParamSpec& spec : request.space->specs()) {
-    AppendString(&key, spec.name);
-    AppendPod(&key, spec.type);
-    AppendPod(&key, spec.lo);
-    AppendPod(&key, spec.hi);
-    AppendPod(&key, spec.default_value);
-    // The count keeps variable-length category lists from aliasing across
-    // adjacent specs.
-    AppendPod(&key, spec.NumCategories());
-    for (const std::string& category : spec.categories) {
-      AppendString(&key, category);
-    }
-  }
+  request.space->AppendStructure(&key);
   for (const ObjectiveSpec& obj : request.objectives) {
     AppendString(&key, obj.name);
     AppendPod(&key, obj.minimize);
@@ -183,7 +152,7 @@ std::string UdaoService::CacheKey(const UdaoRequest& request) const {
 
 UdaoService::CacheShard& UdaoService::ShardFor(
     const std::string& workload_id) const {
-  return *shards_[std::hash<std::string>{}(workload_id) % shards_.size()];
+  return *shards_[ShardOf(workload_id)];
 }
 
 int UdaoService::ShardOf(const std::string& workload_id) const {
@@ -191,150 +160,117 @@ int UdaoService::ShardOf(const std::string& workload_id) const {
                           shards_.size());
 }
 
-bool UdaoService::Lookup(CacheShard& shard, const std::string& key,
-                         uint64_t generation,
-                         std::shared_ptr<const MooProblem>* problem,
-                         std::shared_ptr<const PfResult>* frontier,
-                         std::shared_ptr<RecommendMemo>* memo, bool emit) {
-  // Warm path: probe the shard's last published snapshot, no lock. The
-  // snapshot mirrors the live map after every mutation, so the only race is
-  // with a concurrent Insert -- which degrades to a spurious miss, and
+uint64_t UdaoService::NextTick() const {
+  return lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+std::optional<UdaoService::CacheEntry> UdaoService::Find(
+    const CacheShard& shard, const std::string& key) {
+  // The published map is immutable, so probing it needs no lock. The only
+  // race is with a concurrent Insert, which degrades to a spurious miss;
   // deterministic recomputation makes concurrent misses interchangeable.
-  const std::shared_ptr<const Snapshot> snap =
+  const std::shared_ptr<const Snapshot> entries =
       shard.snapshot.load(std::memory_order_acquire);
-  if (snap == nullptr) return false;
-  const auto it = snap->find(key);
-  if (it == snap->end()) return false;
-  if (it->second.generation != generation) {
+  const auto it = entries->find(key);
+  if (it == entries->end()) return std::nullopt;
+  return it->second;
+}
+
+std::optional<UdaoService::CacheEntry> UdaoService::Lookup(
+    CacheShard& shard, const std::string& key, uint64_t generation) {
+  std::optional<CacheEntry> entry = Find(shard, key);
+  if (entry.has_value() && entry->generation != generation) {
     // The workload saw new traces (or a retrain) since this frontier was
     // computed: the models behind it are no longer the latest available, so
     // report a miss and let the caller recompute. The entry itself stays --
-    // LookupAnyGeneration serves it as a last resort under the stale-cache
-    // shed policy, and the recompute's Insert overwrites it with the newer
+    // ServeStale serves it as a last resort under the stale-cache shed
+    // policy, and the recompute's Insert overwrites it with the newer
     // generation.
     shard.invalidations.fetch_add(1, std::memory_order_relaxed);
-    if (emit) {
-      UDAO_METRIC_COUNTER_ADD("udao.service.invalidations", 1);
-      EmitShardCounter(shard.invalidations_metric);
-    }
-    return false;
+    UDAO_METRIC_COUNTER_ADD("udao.service.invalidations", 1);
+    entry.reset();
   }
-  // Recency refresh: the tick cell is shared between the live map and every
-  // snapshot of it, so eviction sees hits made through old snapshots too.
-  it->second.tick->store(lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
-  *problem = it->second.problem;
-  *frontier = it->second.frontier;
-  *memo = it->second.memo;
-  return true;
-}
-
-bool UdaoService::LookupAnyGeneration(
-    CacheShard& shard, const std::string& key,
-    std::shared_ptr<const MooProblem>* problem,
-    std::shared_ptr<const PfResult>* frontier) {
-  const std::shared_ptr<const Snapshot> snap =
-      shard.snapshot.load(std::memory_order_acquire);
-  if (snap == nullptr) return false;
-  const auto it = snap->find(key);
-  if (it == snap->end()) return false;
-  it->second.tick->store(lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
-  *problem = it->second.problem;
-  *frontier = it->second.frontier;
-  return true;
+  if (!entry.has_value()) {
+    shard.cache_misses.fetch_add(1, std::memory_order_relaxed);
+    UDAO_METRIC_COUNTER_ADD("udao.service.cache_misses", 1);
+    return std::nullopt;
+  }
+  // Recency refresh: the tick cell is shared by every map holding the entry,
+  // so eviction sees hits made through older maps too.
+  entry->tick->store(NextTick(), std::memory_order_relaxed);
+  shard.cache_hits.fetch_add(1, std::memory_order_relaxed);
+  UDAO_METRIC_COUNTER_ADD("udao.service.cache_hits", 1);
+  return entry;
 }
 
 void UdaoService::Insert(CacheShard& shard, const std::string& key,
-                         uint64_t generation,
-                         std::shared_ptr<const MooProblem> problem,
-                         std::shared_ptr<const PfResult> frontier,
-                         std::shared_ptr<RecommendMemo> memo) {
+                         CacheEntry entry) {
   if (per_shard_capacity_ <= 0) return;
   // Never cache a degraded frontier: it is whatever the budget allowed, not
   // the deterministic function of the key that makes concurrent misses and
   // later hits interchangeable.
-  UDAO_DCHECK(!frontier->degraded);
+  UDAO_DCHECK(!entry.frontier->degraded);
   MutexLock lock(shard.mu);
-  const uint64_t tick = lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  auto it = shard.cache.find(key);
-  if (it != shard.cache.end()) {
+  const uint64_t tick = NextTick();
+  const std::shared_ptr<const Snapshot> current =
+      shard.snapshot.load(std::memory_order_acquire);
+  const auto found = current->find(key);
+  if (found != current->end()) {
     // A concurrent miss on the same key got here first. Deterministic
     // computation means both entries are identical; keep the newer tag in
-    // case the other racer observed an older generation.
-    it->second.tick->store(tick, std::memory_order_relaxed);
-    if (generation > it->second.generation) {
-      it->second.problem = std::move(problem);
-      it->second.frontier = std::move(frontier);
-      // The memo describes the frontier it was computed from; it travels
-      // with it. (Equal-generation overwrites keep the incumbent entry AND
-      // its memo: deterministic recomputation makes them interchangeable,
-      // and the incumbent's memo may already be warm.)
-      it->second.memo = std::move(memo);
-      it->second.generation = generation;
-      RepublishLocked(shard);
-    }
-    // A recency-only touch needs no republish: tick cells are shared with
-    // already-published snapshots.
-    return;
+    // case the other racer observed an older generation. The tick cell is
+    // shared with the published map, so a recency-only touch needs no
+    // publish. (Equal-generation overwrites keep the incumbent entry AND its
+    // memo: deterministic recomputation makes them interchangeable, and the
+    // incumbent's memo may already be warm. A newer generation replaces the
+    // memo with the frontier it describes.)
+    found->second.tick->store(tick, std::memory_order_relaxed);
+    if (entry.generation <= found->second.generation) return;
+    entry.tick = found->second.tick;
+  } else {
+    entry.tick = std::make_shared<std::atomic<uint64_t>>(tick);
   }
-  CacheEntry entry;
-  entry.problem = std::move(problem);
-  entry.frontier = std::move(frontier);
-  entry.memo = std::move(memo);
-  entry.generation = generation;
-  entry.tick = std::make_shared<std::atomic<uint64_t>>(tick);
-  shard.cache.emplace(key, std::move(entry));
-  EvictOverflowLocked(shard);
-  RepublishLocked(shard);
-  cache_entries_.store(CountEntries(), std::memory_order_relaxed);
-  UDAO_METRIC_GAUGE_SET(
-      "udao.service.cache_size",
-      static_cast<double>(cache_entries_.load(std::memory_order_relaxed)));
+  // Copy-on-write: readers keep probing `current` while the copy is edited.
+  auto next = std::make_shared<Snapshot>(*current);
+  (*next)[key] = std::move(entry);
+  EvictOverflow(shard, next.get());
+  shard.snapshot.store(std::move(next), std::memory_order_release);
+  UDAO_METRIC_GAUGE_SET("udao.service.cache_size",
+                        static_cast<double>(CacheSize()));
 }
 
-void UdaoService::EvictOverflowLocked(CacheShard& shard) {
-  while (static_cast<int>(shard.cache.size()) > per_shard_capacity_) {
+void UdaoService::EvictOverflow(CacheShard& shard, Snapshot* entries) {
+  while (static_cast<int>(entries->size()) > per_shard_capacity_) {
     // Tick-based LRU: evict the least recently touched entry. A linear scan
     // over at most per_shard_capacity_+1 entries, only on insert overflow.
-    auto victim = shard.cache.begin();
-    uint64_t victim_tick =
-        victim->second.tick->load(std::memory_order_relaxed);
-    for (auto i = std::next(shard.cache.begin()); i != shard.cache.end();
-         ++i) {
+    auto victim = entries->begin();
+    uint64_t victim_tick = victim->second.tick->load(std::memory_order_relaxed);
+    for (auto i = std::next(entries->begin()); i != entries->end(); ++i) {
       const uint64_t t = i->second.tick->load(std::memory_order_relaxed);
       if (t < victim_tick) {
         victim = i;
         victim_tick = t;
       }
     }
-    shard.cache.erase(victim);
+    entries->erase(victim);
     shard.evictions.fetch_add(1, std::memory_order_relaxed);
     UDAO_METRIC_COUNTER_ADD("udao.service.evictions", 1);
-    EmitShardCounter(shard.evictions_metric);
   }
-}
-
-void UdaoService::RepublishLocked(CacheShard& shard) {
-  shard.snapshot.store(std::make_shared<const Snapshot>(shard.cache),
-                       std::memory_order_release);
 }
 
 StatusOr<UdaoRecommendation> UdaoService::ServeStale(
     const UdaoRequest& request, const std::string& key,
     double queue_wait_ms) {
-  std::shared_ptr<const MooProblem> problem;
-  std::shared_ptr<const PfResult> frontier;
-  CacheShard& shard = ShardFor(request.workload_id);
-  if (!LookupAnyGeneration(shard, key, &problem, &frontier)) {
+  const std::optional<CacheEntry> entry =
+      Find(ShardFor(request.workload_id), key);
+  if (!entry.has_value()) {
     return Status::Unavailable(
         "overloaded and no cached frontier to degrade to");
   }
-  if (request.options.metrics) {
-    UDAO_METRIC_COUNTER_ADD("udao.service.stale_serves", 1);
-  }
+  entry->tick->store(NextTick(), std::memory_order_relaxed);
+  UDAO_METRIC_COUNTER_ADD("udao.service.stale_serves", 1);
   StatusOr<UdaoRecommendation> rec =
-      udao_.Recommend(request, *problem, *frontier);
+      udao_.Recommend(request, *entry->problem, *entry->frontier);
   if (!rec.ok()) return rec.status();
   // The frontier may predate newer traces (any-generation lookup): correct
   // trade-offs as of some recent past, explicitly marked best-effort.
@@ -347,8 +283,6 @@ StatusOr<UdaoRecommendation> UdaoService::Handle(const UdaoRequest& request,
                                                  double queue_wait_ms) {
   UDAO_TRACE_SPAN("service.handle");
   const auto t0 = std::chrono::steady_clock::now();
-  const bool emit = request.options.metrics;
-
   Status valid = Udao::Validate(request);
   if (!valid.ok()) return valid;
 
@@ -359,218 +293,207 @@ StatusOr<UdaoRecommendation> UdaoService::Handle(const UdaoRequest& request,
   // toward recomputing, never toward serving a stale frontier.
   const uint64_t generation = server_->Generation(request.workload_id);
   const std::string key = CacheKey(request);
-  const StopToken stop = request.Stop();
   CacheShard& shard = ShardFor(request.workload_id);
 
-  std::shared_ptr<const MooProblem> problem;
-  std::shared_ptr<const PfResult> frontier;
-  // The entry's recommendation memo: non-null exactly when `frontier` is (or
-  // is about to become) a cached entry's frontier. Degraded and cache-off
-  // paths leave it null and compute their re-rank inline, as before.
-  std::shared_ptr<RecommendMemo> memo;
-  const bool hit =
-      config_.frontier_cache_capacity > 0 &&
-      Lookup(shard, key, generation, &problem, &frontier, &memo, emit);
-  if (hit) {
-    shard.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    if (emit) {
-      UDAO_METRIC_COUNTER_ADD("udao.service.cache_hits", 1);
-      EmitShardCounter(shard.hits_metric);
-    }
-  } else {
-    shard.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    if (emit) {
-      UDAO_METRIC_COUNTER_ADD("udao.service.cache_misses", 1);
-      EmitShardCounter(shard.misses_metric);
-    }
+  std::optional<CacheEntry> entry = Lookup(shard, key, generation);
+  const bool hit = entry.has_value();
+  if (!hit) {
     StatusOr<std::vector<ObjectiveSpec>> objectives =
         udao_.ResolveObjectives(request);
     if (!objectives.ok()) {
       // Model resolution failed (server fault, missing traces). Under the
       // stale-cache shed policy a previously computed frontier -- possibly
       // for older models -- still beats an error.
-      const ShedPolicy shed =
-          request.options.shed_policy.value_or(config_.shed_policy);
-      if (shed == ShedPolicy::kServeStaleCache) {
+      if (request.options.shed_policy.value_or(config_.shed_policy) ==
+          ShedPolicy::kServeStaleCache) {
         StatusOr<UdaoRecommendation> stale =
             ServeStale(request, key, queue_wait_ms);
         if (stale.ok()) return stale;
       }
       return objectives.status();
     }
-    auto owned_problem =
-        std::make_shared<MooProblem>(request.space, std::move(*objectives));
-    auto owned_frontier = std::make_shared<PfResult>();
-    {
-      UDAO_TRACE_SPAN("service.pf");
-      // pf_config_ = the service's solver options with co_solver pointed at
-      // the cross-request coalescer, so this request's CO subproblems may
-      // share fused descents with concurrent requests' (bitwise-identical
-      // results either way).
-      ProgressiveFrontier pf(owned_problem.get(), pf_config_);
-      *owned_frontier = pf.Run(udao_.options().frontier_points, stop);
-    }
-    problem = owned_problem;
-    frontier = owned_frontier;
-    if (frontier->degraded) {
-      if (frontier->frontier.empty()) {
-        return Status::DeadlineExceeded(
-            "budget expired before any Pareto point was found");
-      }
-      if (emit) {
-        UDAO_METRIC_COUNTER_ADD("udao.service.degraded_solves", 1);
-      }
-    } else {
-      // Empty (infeasible) frontiers are cached too: re-asking the same
-      // constraints deterministically re-derives the same emptiness. Only
-      // complete frontiers enter the cache (see Insert). The fresh memo is
-      // seeded below with this request's own conservative re-rank, so the
-      // first warm hit already skips the MC-dropout pass.
-      memo = std::make_shared<RecommendMemo>();
-      Insert(shard, key, generation, problem, frontier, memo);
-    }
+    StatusOr<CacheEntry> solved =
+        Solve(request, std::move(*objectives), shard, key, generation);
+    if (!solved.ok()) return solved.status();
+    entry = std::move(*solved);
   }
 
+  const RankedFrontier ranked = Rank(request, *entry, hit);
+  StatusOr<UdaoRecommendation> rec = udao_.Recommend(
+      request, *entry->problem, *ranked.frontier, ranked.ranked.get());
+  if (rec.ok()) {
+    RefineStages(request, &*rec);
+    rec->seconds = NowMs(t0) / 1e3;
+    rec->queue_wait_ms = queue_wait_ms;
+  }
+  UDAO_METRIC_OBSERVE("udao.service.e2e_ms", NowMs(t0));
+  return rec;
+}
+
+StatusOr<UdaoService::CacheEntry> UdaoService::Solve(
+    const UdaoRequest& request, std::vector<ObjectiveSpec> objectives,
+    CacheShard& shard, const std::string& key, uint64_t generation) {
+  CacheEntry entry;
+  entry.problem =
+      std::make_shared<const MooProblem>(request.space, std::move(objectives));
+  {
+    UDAO_TRACE_SPAN("service.pf");
+    // pf_config_ = the service's solver options with co_solver pointed at
+    // the cross-request coalescer, so this request's CO subproblems may
+    // share fused descents with concurrent requests' (bitwise-identical
+    // results either way).
+    ProgressiveFrontier pf(entry.problem.get(), pf_config_);
+    entry.frontier = std::make_shared<const PfResult>(
+        pf.Run(udao_.options().frontier_points, request.Stop()));
+  }
+  if (entry.frontier->degraded) {
+    if (entry.frontier->frontier.empty()) {
+      return Status::DeadlineExceeded(
+          "budget expired before any Pareto point was found");
+    }
+    UDAO_METRIC_COUNTER_ADD("udao.service.degraded_solves", 1);
+    return entry;
+  }
+  // Empty (infeasible) frontiers are cached too: re-asking the same
+  // constraints deterministically re-derives the same emptiness. Only
+  // complete frontiers enter the cache (see Insert). The fresh memo is
+  // seeded by Rank with this request's own conservative re-rank, so the
+  // first warm hit already skips the MC-dropout pass.
+  entry.memo = std::make_shared<RecommendMemo>();
+  entry.generation = generation;
+  Insert(shard, key, entry);
+  return entry;
+}
+
+UdaoService::RankedFrontier UdaoService::Rank(const UdaoRequest& request,
+                                              const CacheEntry& entry,
+                                              bool hit) const {
   // Frontier densification (between steps 2 and 3): a cache hit means this
   // request paid no solve, so some of the saved budget can buy a thicker
-  // frontier -- deadline-aware through the request's own token. A degraded
-  // deadline-hit frontier is thickened post-hoc instead: its token already
-  // fired (that is what degraded means), and densification is bounded,
-  // solve-free sampling, so it runs under a never-stopping token. Both paths
-  // operate on a private copy; cached entries stay immutable. The densified
-  // variant and its conservative re-rank are pure functions of the entry and
-  // the (samples, radius) knobs, so cache hits memoize them in the entry's
-  // RecommendMemo keyed by those knobs -- warm repeats serve the memo
-  // instead of re-sampling and re-paying MC-dropout. A variant whose
-  // densification was stopped by the deadline is served but never memoized
-  // (it is whatever the budget allowed, not the pure-function value).
-  // Degraded frontiers have no entry and no memo. Cold complete solves are
-  // served as computed.
-  //
-  // `ranked` is the conservative (uncertainty-adjusted) companion of
-  // whatever `frontier` ends up being; Recommend skips its own re-rank when
-  // it is supplied.
-  std::shared_ptr<const std::vector<MooPoint>> ranked;
-  if (request.options.densify_samples > 0 && !frontier->frontier.empty() &&
-      (hit || frontier->degraded)) {
-    UDAO_TRACE_SPAN("service.densify");
-    const std::pair<int, double> vkey{request.options.densify_samples,
-                                      request.options.densify_radius};
-    if (memo != nullptr) {
-      MutexLock lock(memo->mu);
-      auto it = memo->variants.find(vkey);
-      if (it != memo->variants.end()) {
-        frontier = it->second.frontier;
-        ranked = it->second.ranked;
-        if (emit) UDAO_METRIC_COUNTER_ADD("udao.densify.memo_hits", 1);
-      }
-    }
-    if (ranked == nullptr) {
-      const auto d0 = std::chrono::steady_clock::now();
-      DensifyConfig dc;
-      dc.samples_per_point = request.options.densify_samples;
-      dc.radius = request.options.densify_radius;
-      dc.seed = pf_config_.mogd.seed;
-      DensifyStats dstats;
-      auto densified = std::make_shared<PfResult>(*frontier);
-      densified->frontier =
-          DensifyFrontier(*problem, frontier->frontier, dc,
-                          frontier->degraded ? StopToken() : stop, &dstats);
-      auto densified_ranked =
-          std::make_shared<const std::vector<MooPoint>>(
-              udao_.ConservativeRank(*problem, densified->frontier));
-      if (memo != nullptr && !dstats.stopped) {
-        MutexLock lock(memo->mu);
-        memo->variants[vkey] = DensifiedVariant{densified, densified_ranked};
-      }
-      frontier = std::move(densified);
-      ranked = std::move(densified_ranked);
-      if (emit) {
-        UDAO_METRIC_COUNTER_ADD("udao.densify.runs", 1);
-        if (dstats.stopped) {
-          UDAO_METRIC_COUNTER_ADD("udao.densify.stopped", 1);
-        }
-        UDAO_METRIC_OBSERVE("udao.densify.ms", NowMs(d0));
-      }
-    }
+  // frontier. A degraded deadline-hit frontier is thickened post-hoc
+  // instead. Cold complete solves are served as computed.
+  if (request.options.densify_samples > 0 &&
+      !entry.frontier->frontier.empty() && (hit || entry.frontier->degraded)) {
+    return Densify(request, entry);
   }
-
   // Undensified serve: reuse (or lazily seed) the entry's memoized base
-  // re-rank; paths without an entry -- degraded solves, caching disabled --
-  // compute it inline exactly as Recommend itself would.
-  if (ranked == nullptr) {
+  // re-rank; degraded solves have no memo and compute it inline exactly as
+  // Recommend itself would.
+  RecommendMemo* memo = entry.memo.get();
+  RankedFrontier out{entry.frontier, nullptr};
+  if (memo != nullptr) {
+    MutexLock lock(memo->mu);
+    out.ranked = memo->base_ranked;
+  }
+  if (out.ranked == nullptr) {
+    out.ranked = std::make_shared<const std::vector<MooPoint>>(
+        udao_.ConservativeRank(*entry.problem, entry.frontier->frontier));
     if (memo != nullptr) {
       MutexLock lock(memo->mu);
-      ranked = memo->base_ranked;
-    }
-    if (ranked == nullptr) {
-      ranked = std::make_shared<const std::vector<MooPoint>>(
-          udao_.ConservativeRank(*problem, frontier->frontier));
-      if (memo != nullptr) {
-        MutexLock lock(memo->mu);
-        memo->base_ranked = ranked;
-      }
+      memo->base_ranked = out.ranked;
     }
   }
+  return out;
+}
 
-  StatusOr<UdaoRecommendation> rec =
-      udao_.Recommend(request, *problem, *frontier, ranked.get());
-  if (!rec.ok()) {
-    if (emit) UDAO_METRIC_OBSERVE("udao.service.e2e_ms", NowMs(t0));
-    return rec.status();
+UdaoService::RankedFrontier UdaoService::Densify(
+    const UdaoRequest& request, const CacheEntry& entry) const {
+  UDAO_TRACE_SPAN("service.densify");
+  // A hit is densified deadline-aware through the request's own token. A
+  // degraded frontier's token already fired (that is what degraded means),
+  // and densification is bounded, solve-free sampling, so it runs under a
+  // never-stopping token. Both operate on a private copy; cached entries
+  // stay immutable. The variant and its conservative re-rank are pure
+  // functions of the entry and the (samples, radius) knobs, so they are
+  // memoized in the entry's RecommendMemo -- unless the deadline stopped
+  // densification (then it is whatever the budget allowed, not the
+  // pure-function value). Degraded frontiers have no memo.
+  RecommendMemo* memo = entry.memo.get();
+  const std::pair<int, double> vkey{request.options.densify_samples,
+                                    request.options.densify_radius};
+  if (memo != nullptr) {
+    MutexLock lock(memo->mu);
+    const auto it = memo->variants.find(vkey);
+    if (it != memo->variants.end()) {
+      UDAO_METRIC_COUNTER_ADD("udao.densify.memo_hits", 1);
+      return it->second;
+    }
   }
+  [[maybe_unused]] const auto t0 = std::chrono::steady_clock::now();
+  DensifyConfig dc;
+  dc.samples_per_point = request.options.densify_samples;
+  dc.radius = request.options.densify_radius;
+  dc.seed = pf_config_.mogd.seed;
+  DensifyStats dstats;
+  auto densified = std::make_shared<PfResult>(*entry.frontier);
+  densified->frontier = DensifyFrontier(
+      *entry.problem, entry.frontier->frontier, dc,
+      entry.frontier->degraded ? StopToken() : request.Stop(), &dstats);
+  RankedFrontier out{densified,
+                     std::make_shared<const std::vector<MooPoint>>(
+                         udao_.ConservativeRank(*entry.problem,
+                                                densified->frontier))};
+  if (memo != nullptr && !dstats.stopped) {
+    MutexLock lock(memo->mu);
+    memo->variants[vkey] = out;
+  }
+  UDAO_METRIC_COUNTER_ADD("udao.densify.runs", 1);
+  if (dstats.stopped) UDAO_METRIC_COUNTER_ADD("udao.densify.stopped", 1);
+  UDAO_METRIC_OBSERVE("udao.densify.ms", NowMs(t0));
+  return out;
+}
+
+void UdaoService::RefineStages(const UdaoRequest& request,
+                               UdaoRecommendation* rec) const {
   // Stage-level refinement (step 4, for kStage requests): per-stage knobs
   // solved around the chosen point. Runs at recommend time, never cached:
   // the chosen point depends on the request's preference weights, which the
   // frontier cache key deliberately excludes. Failure -- budget, invalid
   // space, solver error -- keeps the flat recommendation (stage-level tuning
   // is advice on top of a complete answer, so it degrades, never errors).
-  if (request.options.adaptive.granularity == AdaptiveGranularity::kStage &&
-      request.flow != nullptr && hierarchical_ != nullptr) {
-    const auto a0 = std::chrono::steady_clock::now();
-    const std::vector<StageProfile> stages = config_.engine->PlanStages(
-        *request.flow, rec->conf_raw, /*planner_estimates=*/true);
-    // The per-boundary budget scales to a whole-overlay budget here: this is
-    // the one place every stage is solved at once.
-    const Deadline budget =
-        Deadline::AfterMs(request.options.adaptive.resolve_budget_ms *
-                          std::max<std::size_t>(1, stages.size()));
-    const StopToken refine_stop(budget, request.options.cancel);
-    StatusOr<StageConfOverlay> overlay = hierarchical_->ResolveStages(
-        rec->conf_raw, stages, /*first_stage=*/0,
-        request.flow->workload_class(), refine_stop);
-    if (overlay.ok()) {
-      rec->stage_overlay = std::move(overlay).value();
-      rec->stage_confs.reserve(stages.size());
-      for (int s = 0; s < static_cast<int>(stages.size()); ++s) {
-        rec->stage_confs.push_back(rec->stage_overlay.Resolve(s, rec->conf_raw));
-      }
-      if (emit) UDAO_METRIC_COUNTER_ADD("udao.service.stage_refines", 1);
-    } else if (emit) {
-      UDAO_METRIC_COUNTER_ADD("udao.service.stage_refine_fallbacks", 1);
-    }
-    if (emit) UDAO_METRIC_OBSERVE("udao.service.stage_refine_ms", NowMs(a0));
+  if (request.options.adaptive.granularity != AdaptiveGranularity::kStage ||
+      request.flow == nullptr || hierarchical_ == nullptr) {
+    return;
   }
-  rec->seconds = NowMs(t0) / 1e3;
-  rec->queue_wait_ms = queue_wait_ms;
-  if (emit) UDAO_METRIC_OBSERVE("udao.service.e2e_ms", NowMs(t0));
-  return rec;
+  [[maybe_unused]] const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<StageProfile> stages = config_.engine->PlanStages(
+      *request.flow, rec->conf_raw, /*planner_estimates=*/true);
+  // The per-boundary budget scales to a whole-overlay budget here: this is
+  // the one place every stage is solved at once.
+  const Deadline budget =
+      Deadline::AfterMs(request.options.adaptive.resolve_budget_ms *
+                        std::max<std::size_t>(1, stages.size()));
+  const StopToken refine_stop(budget, request.options.cancel);
+  StatusOr<StageConfOverlay> overlay = hierarchical_->ResolveStages(
+      rec->conf_raw, stages, /*first_stage=*/0,
+      request.flow->workload_class(), refine_stop);
+  if (overlay.ok()) {
+    rec->stage_overlay = std::move(overlay).value();
+    rec->stage_confs.reserve(stages.size());
+    for (int s = 0; s < static_cast<int>(stages.size()); ++s) {
+      rec->stage_confs.push_back(rec->stage_overlay.Resolve(s, rec->conf_raw));
+    }
+    UDAO_METRIC_COUNTER_ADD("udao.service.stage_refines", 1);
+  } else {
+    UDAO_METRIC_COUNTER_ADD("udao.service.stage_refine_fallbacks", 1);
+  }
+  UDAO_METRIC_OBSERVE("udao.service.stage_refine_ms", NowMs(t0));
 }
 
 void UdaoService::AccountResponse(
-    const StatusOr<UdaoRecommendation>& response, bool emit) {
+    const StatusOr<UdaoRecommendation>& response) {
   if (response.ok()) {
     if (response->degraded) {
       degraded_.fetch_add(1, std::memory_order_relaxed);
-      if (emit) UDAO_METRIC_COUNTER_ADD("udao.service.degraded", 1);
+      UDAO_METRIC_COUNTER_ADD("udao.service.degraded", 1);
     }
     return;
   }
   errors_.fetch_add(1, std::memory_order_relaxed);
-  if (emit) UDAO_METRIC_COUNTER_ADD("udao.service.errors", 1);
+  UDAO_METRIC_COUNTER_ADD("udao.service.errors", 1);
   if (response.status().code() == StatusCode::kDeadlineExceeded) {
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-    if (emit) UDAO_METRIC_COUNTER_ADD("udao.service.deadline_exceeded", 1);
+    UDAO_METRIC_COUNTER_ADD("udao.service.deadline_exceeded", 1);
   }
 }
 
@@ -594,9 +517,8 @@ RequestTicket UdaoService::Submit(const UdaoRequest& request) {
   composed.options.cancel = CancellationToken::Any(
       request.options.cancel, ticket.state_->cancel.token());
 
-  const bool emit = request.options.metrics;
   requests_.fetch_add(1, std::memory_order_relaxed);
-  if (emit) UDAO_METRIC_COUNTER_ADD("udao.service.requests", 1);
+  UDAO_METRIC_COUNTER_ADD("udao.service.requests", 1);
   const ShedPolicy shed =
       request.options.shed_policy.value_or(config_.shed_policy);
 
@@ -608,14 +530,14 @@ RequestTicket UdaoService::Submit(const UdaoRequest& request) {
       queue_depth_.load(std::memory_order_relaxed) >=
           config_.max_queue_depth) {
     sheds_.fetch_add(1, std::memory_order_relaxed);
-    if (emit) UDAO_METRIC_COUNTER_ADD("udao.service.sheds", 1);
+    UDAO_METRIC_COUNTER_ADD("udao.service.sheds", 1);
     switch (shed) {
       case ShedPolicy::kReject: {
         StatusOr<UdaoRecommendation> rejected =
             Status::Unavailable("admission queue full (max depth " +
                                 std::to_string(config_.max_queue_depth) +
                                 ")");
-        AccountResponse(rejected, emit);
+        AccountResponse(rejected);
         deliver(std::move(rejected));
         return ticket;
       }
@@ -624,7 +546,7 @@ RequestTicket UdaoService::Submit(const UdaoRequest& request) {
         // thread, which is the point -- no queue slot consumed.
         StatusOr<UdaoRecommendation> stale =
             ServeStale(composed, CacheKey(composed), /*queue_wait_ms=*/0.0);
-        AccountResponse(stale, emit);
+        AccountResponse(stale);
         deliver(std::move(stale));
         return ticket;
       }
@@ -640,11 +562,9 @@ RequestTicket UdaoService::Submit(const UdaoRequest& request) {
       static_cast<double>(queue_depth_.load(std::memory_order_relaxed)));
   const auto enqueued = std::chrono::steady_clock::now();
   admission_.Submit([this, request = std::move(composed), deliver, enqueued,
-                     degrade_admission, shed, emit]() mutable {
+                     degrade_admission, shed]() mutable {
     const double queue_wait_ms = NowMs(enqueued);
-    if (emit) {
-      UDAO_METRIC_OBSERVE("udao.service.queue_wait_ms", queue_wait_ms);
-    }
+    UDAO_METRIC_OBSERVE("udao.service.queue_wait_ms", queue_wait_ms);
     if (degrade_admission) {
       // The degraded budget starts when solving starts; a request that also
       // carries its own (tighter) deadline keeps it.
@@ -669,7 +589,7 @@ RequestTicket UdaoService::Submit(const UdaoRequest& request) {
       }
       return Handle(request, queue_wait_ms);
     }();
-    AccountResponse(out, emit);
+    AccountResponse(out);
     queue_depth_.fetch_sub(1, std::memory_order_relaxed);
     deliver(std::move(out));
   });
@@ -699,20 +619,13 @@ UdaoServiceStats UdaoService::stats() const {
   return s;
 }
 
-int UdaoService::CountEntries() const {
+int UdaoService::CacheSize() const {
   int total = 0;
   for (const std::unique_ptr<CacheShard>& shard : shards_) {
-    const std::shared_ptr<const Snapshot> snap =
-        shard->snapshot.load(std::memory_order_acquire);
-    if (snap != nullptr) total += static_cast<int>(snap->size());
+    total += static_cast<int>(
+        shard->snapshot.load(std::memory_order_acquire)->size());
   }
   return total;
-}
-
-int UdaoService::CacheSize() const { return CountEntries(); }
-
-int UdaoService::QueueDepth() const {
-  return queue_depth_.load(std::memory_order_relaxed);
 }
 
 }  // namespace udao

@@ -21,9 +21,9 @@
 namespace udao {
 
 // ShedPolicy and the per-request RequestOptions knobs (deadline, cancel,
-// shed-policy override, recommendation policy, metrics opt-out) live in
-// tuning/udao.h next to UdaoRequest; this header re-exports them via that
-// include so serving-layer callers keep compiling unchanged.
+// shed-policy override, recommendation policy, densification, stage-level
+// tuning) live in tuning/udao.h next to UdaoRequest; this header re-exports
+// them via that include so serving-layer callers keep compiling unchanged.
 
 /// Serving-layer policy.
 struct UdaoServiceConfig {
@@ -53,10 +53,6 @@ struct UdaoServiceConfig {
   bool coalesce_solves = true;
   int coalesce_max_batch = 32;
   double coalesce_max_wait_us = 200.0;
-  /// Capacity of the coalescer's solved-subproblem memo (identical CO
-  /// subproblems from concurrent requests are solved once and the bits
-  /// shared; see SolveCoalescerConfig::memo_capacity). 0 disables it.
-  int coalesce_memo_capacity = 512;
   /// Overload bound: requests queued or running before shedding starts.
   /// <= 0 means unbounded (the pre-overload-control behavior). The bound is
   /// approximate under concurrency (check-then-admit is not atomic), which
@@ -89,9 +85,9 @@ struct UdaoServiceShardStats {
 };
 
 /// Point-in-time request/cache counters (see UdaoService::stats()). The
-/// cache fields are aggregates over `shards`; the same split is exported to
-/// the metrics registry as `udao.service.shard<i>.*` counters next to the
-/// service-wide `udao.service.*` ones.
+/// cache fields are aggregates over `shards`. The metrics registry receives
+/// only the service-wide `udao.service.*` counters; the per-shard split is
+/// kept here alone.
 struct UdaoServiceStats {
   long long requests = 0;
   long long cache_hits = 0;
@@ -161,11 +157,12 @@ class RequestTicket {
 ///    Computed frontiers are cached under an exact key of those inputs, so a
 ///    request that differs only in weights/policy re-runs just step 3
 ///    (microseconds instead of seconds). The cache is sharded by
-///    hash(workload_id): mutations take only their shard's lock, and warm-
-///    path lookups probe an atomically published immutable snapshot without
-///    locking at all. Degraded (budget-truncated) frontiers are never
-///    cached: they are whatever the deadline allowed, not the deterministic
-///    function of the key that cache correctness rests on.
+///    hash(workload_id). Each shard's entries live in one immutable map
+///    published through an atomic pointer: lookups load it without locking,
+///    and an insert copies it, edits the copy and publishes that under the
+///    shard's lock (copy-on-write). Degraded (budget-truncated) frontiers
+///    are never cached: they are whatever the deadline allowed, not the
+///    deterministic function of the key that cache correctness rests on.
 ///  - Frontier densification: when a request opts in
 ///    (RequestOptions::densify_samples > 0), cache-hit frontiers are
 ///    thickened by sampling (src/moo/densify.h) before step 3 -- the solve
@@ -190,6 +187,14 @@ class RequestTicket {
 ///    decides between rejecting, serving stale cache, and degrading. A
 ///    request whose budget expired while still queued is never solved:
 ///    it sheds per policy (queue-deadline enforcement).
+///
+/// Each request runs four named steps on an admission worker (Handle):
+/// Lookup (a counted current-generation hit), Solve (Progressive Frontier on
+/// a miss, inserting complete frontiers), Rank (the entry's memoized
+/// conservative re-rank, or its densified variant) and RefineStages
+/// (stage-level kStage requests only), with Udao::Recommend between the
+/// last two. Lookup, Rank and Recommend read shared state only through the
+/// published snapshot and the entry's memo.
 ///
 /// Two requests missing on the same key concurrently both compute the
 /// frontier (no single-flighting); the computation is deterministic, so both
@@ -232,12 +237,9 @@ class UdaoService {
   /// individually, not atomically as a group). Includes the per-shard split.
   UdaoServiceStats stats() const;
 
-  /// Frontiers currently cached (summed over shards).
+  /// Frontiers currently cached (summed over shards; no shard locks taken,
+  /// exact between inserts).
   int CacheSize() const;
-
-  /// Requests currently queued or running (the value the overload bound
-  /// compares against).
-  int QueueDepth() const;
 
   /// Which cache shard `workload_id` routes to (stable for the service
   /// lifetime; exposed for tests and shard-level monitoring).
@@ -246,10 +248,9 @@ class UdaoService {
   const UdaoServiceConfig& config() const { return config_; }
 
  private:
-  /// One memoized densified variant of a cached frontier: the thickened
-  /// frontier plus its conservative (uncertainty-ranked) companion, both
-  /// pure functions of (entry, densify knobs).
-  struct DensifiedVariant {
+  /// A frontier together with its conservative (uncertainty-ranked)
+  /// companion, index-aligned: what Recommend chooses from.
+  struct RankedFrontier {
     std::shared_ptr<const PfResult> frontier;
     std::shared_ptr<const std::vector<MooPoint>> ranked;
   };
@@ -258,8 +259,8 @@ class UdaoService {
   /// Udao::ConservativeRank) and the densified variants are deterministic
   /// functions of the immutable entry, so warm repeats reuse them instead of
   /// re-paying mc_samples forward passes per frontier point per request.
-  /// Shared (like `tick`) between the live map and every published snapshot;
-  /// dies with the entry, so generation invalidation covers it for free.
+  /// Shared (like `tick`) by every published map that holds the entry; dies
+  /// with the entry, so generation invalidation covers it for free.
   /// Concurrent fills race benignly: both compute identical values and the
   /// second store overwrites with equal bits (the documented double-compute
   /// semantics of the cache itself).
@@ -268,50 +269,47 @@ class UdaoService {
     /// Conservative companion of the entry's own frontier, index-aligned.
     std::shared_ptr<const std::vector<MooPoint>> base_ranked
         UDAO_GUARDED_BY(mu);
-    /// Densified variants keyed by (densify_samples, densify_radius).
-    std::map<std::pair<int, double>, DensifiedVariant> variants
+    /// Densified variants keyed by (densify_samples, densify_radius); each
+    /// is a pure function of (entry, densify knobs).
+    std::map<std::pair<int, double>, RankedFrontier> variants
         UDAO_GUARDED_BY(mu);
   };
 
   struct CacheEntry {
     std::shared_ptr<const MooProblem> problem;
     std::shared_ptr<const PfResult> frontier;
-    /// Lazily filled recommendation memo (see RecommendMemo).
+    /// Lazily filled recommendation memo (see RecommendMemo). Null only on
+    /// degraded solves, which have no entry.
     std::shared_ptr<RecommendMemo> memo;
     /// ModelServer::Generation(workload) observed before resolving models.
     uint64_t generation = 0;
-    /// Recency stamp (global lru_tick_ value of the last touch). Shared
-    /// between the live map and every published snapshot of it, so a
-    /// lock-free snapshot hit still refreshes recency for eviction.
+    /// Recency stamp (global lru_tick_ value of the last touch). Shared by
+    /// every published map that holds the entry, so a hit through an older
+    /// map still refreshes recency for eviction.
     std::shared_ptr<std::atomic<uint64_t>> tick;
   };
 
-  /// Immutable point-in-time copy of one shard's map, republished after
-  /// every mutation; the warm path probes it without taking the shard lock.
+  /// One shard's entries. Immutable once published: every change publishes
+  /// a new map.
   using Snapshot = std::unordered_map<std::string, CacheEntry>;
 
   struct CacheShard {
-    /// Guards `cache` (mutations and snapshot republish only; reads go
-    /// through `snapshot`).
-    mutable Mutex mu;
-    Snapshot cache UDAO_GUARDED_BY(mu);
-    std::atomic<std::shared_ptr<const Snapshot>> snapshot;
+    /// Serializes Insert's copy-edit-publish of `snapshot`, so concurrent
+    /// inserts cannot drop each other's entries. Readers never take it.
+    Mutex mu;  // lint: standalone-mutex
+    /// The shard's only map, loaded by readers without locking and replaced
+    /// wholesale by Insert.
+    std::atomic<std::shared_ptr<const Snapshot>> snapshot{
+        std::make_shared<const Snapshot>()};
     std::atomic<long long> cache_hits{0};
     std::atomic<long long> cache_misses{0};
     std::atomic<long long> invalidations{0};
     std::atomic<long long> evictions{0};
-    /// Precomputed `udao.service.shard<i>.*` metric names (the UDAO_METRIC_*
-    /// macros need literals; dynamic names go through the registry
-    /// directly).
-    std::string hits_metric;
-    std::string misses_metric;
-    std::string invalidations_metric;
-    std::string evictions_metric;
   };
 
   /// Exact byte-serialized cache key: workload, space identity AND structure
-  /// (knob names/types/bounds/categories, so a recycled address with
-  /// different content misses instead of serving the old space's frontier),
+  /// (ParamSpace::AppendStructure, so a recycled address with different
+  /// content misses instead of serving the old space's frontier),
   /// per-objective (name, direction, bounds, explicit model identity), plus
   /// the SolverOptions fingerprint. Preference weights, policy, and slope
   /// side are deliberately absent -- they only steer step 3. The deadline /
@@ -325,39 +323,52 @@ class UdaoService {
   StatusOr<UdaoRecommendation> Handle(const UdaoRequest& request,
                                       double queue_wait_ms);
 
-  /// Lock-free cache lookup incl. staleness check; fills problem/frontier
-  /// (and the entry's recommendation memo) on a hit and counts
-  /// hit/miss/invalidation against `shard`. `emit` gates registry emission
-  /// (per-request metrics opt-out); shard-local atomics always count.
-  bool Lookup(CacheShard& shard, const std::string& key, uint64_t generation,
-              std::shared_ptr<const MooProblem>* problem,
-              std::shared_ptr<const PfResult>* frontier,
-              std::shared_ptr<RecommendMemo>* memo, bool emit);
-  /// Generation-blind lookup for ShedPolicy::kServeStaleCache; does not
-  /// count hits or misses (the request already counted its real lookup).
-  bool LookupAnyGeneration(CacheShard& shard, const std::string& key,
-                           std::shared_ptr<const MooProblem>* problem,
-                           std::shared_ptr<const PfResult>* frontier);
-  /// `memo` is the new entry's recommendation memo (typically pre-seeded
-  /// with the base frontier's conservative re-rank by the inserting
-  /// request); on a same-key newer-generation overwrite it replaces the old
-  /// entry's memo along with the frontier it described.
-  void Insert(CacheShard& shard, const std::string& key, uint64_t generation,
-              std::shared_ptr<const MooProblem> problem,
-              std::shared_ptr<const PfResult> frontier,
-              std::shared_ptr<RecommendMemo> memo);
-  /// Evicts least-recently-touched entries until `shard.cache` fits
-  /// per_shard_capacity_ (tick-based LRU; linear scan, insert-overflow only).
-  void EvictOverflowLocked(CacheShard& shard) UDAO_REQUIRES(shard.mu);
-  /// Publishes an immutable copy of `shard.cache` for lock-free lookups.
-  /// Every mutation of the map must republish before the lock drops.
-  void RepublishLocked(CacheShard& shard) UDAO_REQUIRES(shard.mu);
+  /// Step 1 of Handle: the shard's entry for `key` if it carries
+  /// `generation`, counted as a hit (and its recency refreshed); otherwise
+  /// nullopt, counted as a miss (plus an invalidation when only an older
+  /// generation is cached).
+  std::optional<CacheEntry> Lookup(CacheShard& shard, const std::string& key,
+                                   uint64_t generation);
+  /// Step 2 of Handle, on a miss: runs Progressive Frontier over the
+  /// resolved `objectives` and inserts a complete frontier under `key` with
+  /// a fresh memo. A degraded frontier is returned without a memo and never
+  /// inserted; DeadlineExceeded when the budget ran out before any point.
+  StatusOr<CacheEntry> Solve(const UdaoRequest& request,
+                             std::vector<ObjectiveSpec> objectives,
+                             CacheShard& shard, const std::string& key,
+                             uint64_t generation);
+  /// Step 3 of Handle: the frontier to recommend from and its conservative
+  /// re-rank. A densifying request on a hit (or a degraded solve) gets the
+  /// densified variant; everything else gets the entry's own frontier with
+  /// its memoized base re-rank, computed and stored on first use.
+  RankedFrontier Rank(const UdaoRequest& request, const CacheEntry& entry,
+                      bool hit) const;
+  /// Rank's densified variant: served from the memo when present, else
+  /// sampled, re-ranked and memoized unless its deadline stopped it.
+  RankedFrontier Densify(const UdaoRequest& request,
+                         const CacheEntry& entry) const;
+  /// Step 4 of Handle, for kStage requests only: per-stage knobs solved
+  /// around the chosen point, written into `rec`. Never fails the request.
+  void RefineStages(const UdaoRequest& request, UdaoRecommendation* rec) const;
+
+  /// The shard's entry for `key`, any generation, or nullopt. Lock-free;
+  /// callers check the generation and refresh recency.
+  static std::optional<CacheEntry> Find(const CacheShard& shard,
+                                        const std::string& key);
+  /// Publishes a copy of the shard's map with `entry` under `key` (a newer
+  /// generation replaces an older one's frontier and memo; an equal or older
+  /// one only refreshes recency), evicting least-recently-used entries past
+  /// per_shard_capacity_. `entry.memo` is typically pre-seeded with the base
+  /// frontier's conservative re-rank by the inserting request.
+  void Insert(CacheShard& shard, const std::string& key, CacheEntry entry);
+  /// Evicts least-recently-touched entries of `entries` (an unpublished
+  /// copy) until it fits per_shard_capacity_ (tick-based LRU; linear scan,
+  /// insert-overflow only).
+  void EvictOverflow(CacheShard& shard, Snapshot* entries);
+  /// Next value of the global recency clock.
+  uint64_t NextTick() const;
 
   CacheShard& ShardFor(const std::string& workload_id) const;
-
-  /// Total entries across shards, read via the published snapshots (no shard
-  /// locks taken; exact between mutations).
-  int CountEntries() const;
 
   /// kServeStaleCache fallback: recommend from whatever is cached under
   /// `key`, any generation, tagged degraded. Unavailable when nothing is.
@@ -367,9 +378,7 @@ class UdaoService {
 
   /// Response-side bookkeeping shared by every delivery path (worker,
   /// shed-at-admission): errors / degraded / deadline_exceeded counters.
-  /// `emit` gates registry emission per the request's metrics opt-out.
-  void AccountResponse(const StatusOr<UdaoRecommendation>& response,
-                       bool emit);
+  void AccountResponse(const StatusOr<UdaoRecommendation>& response);
 
   ModelServer* server_;
   UdaoServiceConfig config_;
@@ -383,7 +392,7 @@ class UdaoService {
   /// chunks running on udao_'s solver pool, which must still be alive at
   /// that point.
   std::unique_ptr<SolveCoalescer> coalescer_;
-  /// udao_.options().pf with co_solver pointed at coalescer_; what Handle
+  /// udao_.options().pf with co_solver pointed at coalescer_; what Solve
   /// actually constructs ProgressiveFrontier with. co_solver is excluded
   /// from the options fingerprint (threading/routing never changes
   /// solutions), so cache keys are identical with coalescing on or off.
@@ -400,9 +409,6 @@ class UdaoService {
   /// Global recency clock for tick-based per-shard eviction (monotone;
   /// higher = more recently used).
   mutable std::atomic<uint64_t> lru_tick_{0};
-  /// Entries across shards as of the last Insert (feeds the cache_size
-  /// gauge without re-walking shards on reads).
-  mutable std::atomic<int> cache_entries_{0};
 
   std::atomic<long long> requests_{0};
   std::atomic<long long> errors_{0};

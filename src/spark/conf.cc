@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/byte_key.h"
 #include "common/check.h"
 
 namespace udao {
@@ -168,6 +169,23 @@ Status ParamSpace::Validate(const Vector& raw) const {
     }
   }
   return Status::Ok();
+}
+
+void ParamSpace::AppendStructure(std::string* out) const {
+  AppendPod(out, NumParams());
+  for (const ParamSpec& spec : specs_) {
+    AppendString(out, spec.name);
+    AppendPod(out, spec.type);
+    AppendPod(out, spec.lo);
+    AppendPod(out, spec.hi);
+    AppendPod(out, spec.default_value);
+    // The count keeps variable-length category lists from aliasing across
+    // adjacent specs.
+    AppendPod(out, spec.NumCategories());
+    for (const std::string& category : spec.categories) {
+      AppendString(out, category);
+    }
+  }
 }
 
 void StageConfOverlay::Set(int stage, int knob, double raw_value) {

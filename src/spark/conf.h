@@ -83,6 +83,13 @@ class ParamSpace {
   /// Validates that `raw` is in range and well-typed.
   Status Validate(const Vector& raw) const;
 
+  /// Appends the space's structure (knob count, then each knob's name, type,
+  /// bounds, default and categories) to `out` with common/byte_key.h
+  /// framing. Equal bytes mean structurally identical spaces; cache and
+  /// dedup keys use it so a space rebuilt differently at a recycled address
+  /// misses instead of aliasing the old one.
+  void AppendStructure(std::string* out) const;
+
  private:
   std::vector<ParamSpec> specs_;
   int encoded_dim_ = 0;

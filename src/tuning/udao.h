@@ -63,14 +63,12 @@ struct AdaptiveOptions {
   /// RunAdaptive deployments); also bounds the recommend-time per-stage
   /// refinement as a whole-overlay budget.
   double resolve_budget_ms = 10.0;
-  /// Boundary re-solves are capped at this many stage boundaries.
-  int max_boundaries = 8;
 };
 
 /// Per-request knobs, collected in one place so UdaoRequest stays "what to
 /// optimize" and this stays "how to treat this particular request". None of
-/// these fields enters the serving cache key: they steer step 3, budgets,
-/// and bookkeeping -- never which frontier step 2 computes.
+/// these fields enters the serving cache key: they steer step 3 and budgets
+/// -- never which frontier step 2 computes.
 struct RequestOptions {
   /// Recommendation (step 3) strategy. Requests that differ only in
   /// preference weights, `policy`, or `slope_side` share the same frontier
@@ -114,11 +112,6 @@ struct RequestOptions {
   /// UdaoServiceConfig::shed_policy. A latency-critical caller can demand
   /// kReject while the service default degrades, and vice versa.
   std::optional<ShedPolicy> shed_policy;
-  /// False opts this request out of per-request MetricsRegistry emissions
-  /// (counters/histograms on the serving path). Aggregate stats() counters
-  /// are always maintained; this only silences the registry for callers that
-  /// do their own accounting (load generators, replayed traffic).
-  bool metrics = true;
 };
 
 /// One optimization request (Fig. 1(a)): a workload (standing in for its
@@ -144,8 +137,8 @@ struct UdaoRequest {
   /// means uniform. They need not be normalized.
   Vector preference_weights;
 
-  /// Per-request knobs (policy, deadline, cancellation, shed override,
-  /// metrics opt-out). See RequestOptions.
+  /// Per-request knobs (policy, densification, deadline, cancellation,
+  /// stage-level tuning, shed override). See RequestOptions.
   RequestOptions options;
 
   /// The combined stop signal solvers check.

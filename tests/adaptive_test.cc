@@ -191,6 +191,8 @@ TEST(AdaptiveEngineTest, RunAdaptiveEmitsStageResolveMetrics) {
   EXPECT_GT(result.boundaries, 0);
   EXPECT_EQ(result.boundaries, result.applied + result.fallbacks);
   EXPECT_EQ(static_cast<int>(result.resolve_ms.size()), result.boundaries);
+#if UDAO_METRICS_ENABLED
+  // The registry is fed only when instrumentation is compiled in.
   MetricsRegistry& reg = MetricsRegistry::Global();
   EXPECT_EQ(reg.CounterValue("udao.engine.stage_resolves"), result.boundaries);
   EXPECT_EQ(reg.CounterValue("udao.engine.stage_resolve_applied"),
@@ -199,6 +201,7 @@ TEST(AdaptiveEngineTest, RunAdaptiveEmitsStageResolveMetrics) {
             result.fallbacks);
   EXPECT_EQ(reg.HistogramValue("udao.engine.stage_resolve_ms").count,
             result.boundaries);
+#endif
 }
 
 TEST(AdaptiveEngineTest, AdaptiveRunKeepsUpWithJobLevelOnSkew) {

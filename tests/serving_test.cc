@@ -218,6 +218,35 @@ TEST(UdaoServiceTest, LruEvictsLeastRecentlyUsedFrontier) {
   EXPECT_GE(s.evictions, 2);
 }
 
+// At capacity 1 recency cannot matter; with two entries per shard a hit must
+// refresh its entry so the next eviction takes the other one.
+TEST(UdaoServiceTest, CacheHitRefreshesRecencyForEviction) {
+  ModelServer server;
+  UdaoServiceConfig config = FastServiceConfig();
+  config.frontier_cache_capacity = 2 * config.cache_shards;
+  UdaoService service(&server, config);
+
+  // One workload id, so every key routes to the same shard.
+  UdaoRequest a = ConvexRequest();
+  UdaoRequest b = ConvexRequest();
+  b.objectives[0].upper = 0.8;
+  UdaoRequest c = ConvexRequest();
+  c.objectives[0].upper = 0.7;
+
+  ASSERT_TRUE(service.Submit(a).Wait().ok());  // miss
+  ASSERT_TRUE(service.Submit(b).Wait().ok());  // miss
+  ASSERT_TRUE(service.Submit(a).Wait().ok());  // hit: a is now newer than b
+  ASSERT_TRUE(service.Submit(c).Wait().ok());  // miss, evicts b (not a)
+  ASSERT_TRUE(service.Submit(a).Wait().ok());  // hit
+  ASSERT_TRUE(service.Submit(b).Wait().ok());  // miss (was evicted)
+
+  const UdaoServiceStats s = service.stats();
+  EXPECT_EQ(s.cache_hits, 2);
+  EXPECT_EQ(s.cache_misses, 4);
+  EXPECT_EQ(s.evictions, 2);
+  EXPECT_EQ(service.CacheSize(), 2);
+}
+
 TEST(UdaoServiceTest, InvalidRequestsAreCountedAsErrors) {
   ModelServer server;
   UdaoService service(&server, FastServiceConfig());

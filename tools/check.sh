@@ -2,18 +2,21 @@
 # Repo verification pipeline:
 #   1. tier 1         -- default (Release) configure/build/ctest, which also
 #                        runs udao_lint over src/
-#   2. ASan+UBSan     -- the suite under -DCMAKE_BUILD_TYPE=Asan
-#   3. TSan           -- the suite under -DCMAKE_BUILD_TYPE=Tsan (includes
+#   2. metrics off    -- the suite with -DUDAO_METRICS=OFF -DUDAO_WERROR=ON:
+#                        instrumentation compiled out, stats() and every
+#                        request path still tested
+#   3. ASan+UBSan     -- the suite under -DCMAKE_BUILD_TYPE=Asan
+#   4. TSan           -- the suite under -DCMAKE_BUILD_TYPE=Tsan (includes
 #                        race_stress_test, which hammers ThreadPool,
 #                        concurrent SolveBatch, and concurrent ModelServer
 #                        lookups)
-#   4. UBSan (strict) -- the suite under -DCMAKE_BUILD_TYPE=Ubsan:
+#   5. UBSan (strict) -- the suite under -DCMAKE_BUILD_TYPE=Ubsan:
 #                        -fsanitize=undefined,float-divide-by-zero with
 #                        -fno-sanitize-recover=all, so the first report
 #                        aborts the test. Stricter than the Asan combo
 #                        (float-divide-by-zero is not on there, and reports
 #                        there recover). Also run nightly.
-#   5. thread-safety  -- clang build of src/ with -Werror=thread-safety
+#   6. thread-safety  -- clang build of src/ with -Werror=thread-safety
 #                        (-DUDAO_THREAD_SAFETY=ON) checking every
 #                        GUARDED_BY / REQUIRES annotation in
 #                        src/common/sync.h users, plus the compile-failure
@@ -21,14 +24,14 @@
 #                        the gate can fire. Skipped with a notice when
 #                        clang++ is not installed (GCC has no such
 #                        analysis); CI always runs it.
-#   6. clang-tidy     -- tools/tidy.sh (skipped automatically when
+#   7. clang-tidy     -- tools/tidy.sh (skipped automatically when
 #                        clang-tidy is not installed)
 #
 # Usage: tools/check.sh [--tier1-only | --help]
 set -euo pipefail
 
 if [[ "${1:-}" == "--help" || "${1:-}" == "-h" ]]; then
-  sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,30p' "$0" | sed 's/^# \{0,1\}//'
   exit 0
 fi
 
@@ -45,6 +48,11 @@ ctest --test-dir build --output-on-failure -j
 if [[ "${1:-}" == "--tier1-only" ]]; then
   exit 0
 fi
+
+echo "== metrics off: -DUDAO_METRICS=OFF build + tests =="
+cmake -B build-metrics-off -S . -DUDAO_METRICS=OFF -DUDAO_WERROR=ON
+cmake --build build-metrics-off -j
+ctest --test-dir build-metrics-off --output-on-failure -j
 
 echo "== sanitizers: ASan+UBSan build + tests =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Asan
