@@ -67,9 +67,11 @@ void BM_MlpForward(benchmark::State& state) {
   MlpConfig cfg;
   cfg.layer_sizes = {12, 128, 128, 128, 128, 1};  // the paper's largest DNN
   Mlp mlp(cfg, &rng);
-  Vector x(12, 0.5);
+  Matrix x(1, 12, 0.5);
+  Vector out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mlp.Predict(x));
+    mlp.PredictBatch(x, &out);
+    benchmark::DoNotOptimize(out);
   }
 }
 BENCHMARK(BM_MlpForward);
@@ -79,9 +81,11 @@ void BM_MlpInputGradient(benchmark::State& state) {
   MlpConfig cfg;
   cfg.layer_sizes = {12, 128, 128, 128, 128, 1};
   Mlp mlp(cfg, &rng);
-  Vector x(12, 0.5);
+  Matrix x(1, 12, 0.5);
+  Matrix grad;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mlp.InputGradient(x));
+    mlp.InputGradientBatch(x, &grad);
+    benchmark::DoNotOptimize(grad);
   }
 }
 BENCHMARK(BM_MlpInputGradient);
@@ -139,8 +143,11 @@ void BM_MogdSolveCo(benchmark::State& state) {
   net.layer_sizes = {12, 64, 64, 1};
   auto mlp = std::make_shared<Mlp>(net, &rng);
   auto latency = std::make_shared<CallableModel>(
-      "lat", 12, [mlp](const Vector& x) { return mlp->Predict(x); },
-      [mlp](const Vector& x) { return mlp->InputGradient(x); });
+      "lat", 12,
+      [mlp](const Matrix& x, Vector* out) { mlp->PredictBatch(x, out); },
+      [mlp](const Matrix& x, Matrix* grads, Vector* values) {
+        mlp->InputGradientBatch(x, grads, values);
+      });
   auto cost = std::make_shared<CallableModel>(
       "cost", 12, [](const Vector& x) { return x[1] * 26 + x[2] * 7 + 3; },
       [](const Vector& x) {

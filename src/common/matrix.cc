@@ -7,9 +7,9 @@
 // The dense products below route through the runtime-dispatched kernel table
 // (nn/kernels.h). The scalar backend replicates this file's original loops
 // bitwise; the avx2 backend vectorizes them. Every consumer -- GP algebra,
-// MLP training, the scalar and batched model entry points -- shifts backend
-// together, which is what keeps the codebase's batch-vs-scalar exact-equality
-// contracts intact in either mode.
+// the MLP passes, the per-sample test references -- shifts backend together,
+// which is what keeps the codebase's exact-equality contracts intact in
+// either mode.
 
 namespace udao {
 
@@ -52,22 +52,6 @@ Matrix Matrix::Multiply(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::MultiplyTransposed(const Matrix& other) const {
-  UDAO_CHECK_EQ(cols_, other.cols_);
-  Matrix out(rows_, other.rows_);
-  const kernels::KernelTable* t = kernels::ActiveTable();
-  for (int i = 0; i < rows_; ++i) {
-    const double* a_row = RowPtr(i);
-    double* out_row = out.RowPtr(i);
-    for (int j = 0; j < other.rows_; ++j) {
-      const double* b_row = other.RowPtr(j);
-      out_row[j] = cols_ == 128 ? t->dot128(a_row, b_row)
-                                : t->dot(a_row, b_row, cols_);
-    }
-  }
-  return out;
-}
-
 Vector Matrix::Apply(const Vector& v) const {
   UDAO_CHECK_EQ(static_cast<int>(v.size()), cols_);
   Vector out(rows_, 0.0);
@@ -90,13 +74,6 @@ Vector Matrix::ApplyTranspose(const Vector& v) const {
     t->axpy(out.data(), RowPtr(r), vr, cols_);
   }
   return out;
-}
-
-void Matrix::AddScaled(const Matrix& other, double scale) {
-  UDAO_CHECK_EQ(rows_, other.rows_);
-  UDAO_CHECK_EQ(cols_, other.cols_);
-  kernels::Axpy(data_.data(), other.data_.data(), scale,
-                static_cast<int>(data_.size()));
 }
 
 StatusOr<Matrix> CholeskyFactor(const Matrix& a) {

@@ -64,17 +64,10 @@ class Matrix {
 
   Matrix Transpose() const;
   Matrix Multiply(const Matrix& other) const;
-  /// Product with the transpose, A*B^T. Both operands are walked row-wise
-  /// (contiguously), making this the cache-friendly kernel for batched MLP
-  /// forward passes where B holds weights as [fan_out, fan_in] rows.
-  Matrix MultiplyTransposed(const Matrix& other) const;
   /// Matrix-vector product A*v.
   Vector Apply(const Vector& v) const;
   /// Transposed matrix-vector product A^T * v.
   Vector ApplyTranspose(const Vector& v) const;
-
-  /// Element-wise in-place addition of `other * scale`.
-  void AddScaled(const Matrix& other, double scale);
 
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& data() { return data_; }

@@ -27,9 +27,8 @@ double Denorm(const ParamSpec& spec, double u) {
   return spec.lo + c * (spec.hi - spec.lo);
 }
 
-// The closed forms below are written over a raw point pointer so the same
-// arithmetic serves the scalar Predict and the vectorized PredictBatch (one
-// pass over the row-major batch, no per-point std::function dispatch).
+// The closed forms below are written over a raw point pointer, so each
+// model's batch form is one pass over the row-major batch.
 
 double BatchLatencyAt(const AnalyticWorkload& w, const ParamSpace& space,
                       const double* x) {
@@ -88,108 +87,47 @@ double Fig3CostAt(const double* x) {
 std::shared_ptr<ObjectiveModel> MakeAnalyticBatchLatencyModel(
     const AnalyticWorkload& workload) {
   const ParamSpace& space = BatchParamSpace();
-  const int dim = space.EncodedDim();
   AnalyticWorkload w = workload;
-  auto fn = [w, &space](const Vector& x) {
-    return BatchLatencyAt(w, space, x.data());
-  };
-  auto model = std::make_shared<CallableModel>("analytic-latency", dim,
-                                               std::move(fn));
-  model->WithBatch([w, &space](const Matrix& x, Vector* out) {
-    for (int i = 0; i < x.rows(); ++i) {
-      (*out)[i] = BatchLatencyAt(w, space, x.RowPtr(i));
-    }
-  });
-  return model;
+  return std::make_shared<CallableModel>(
+      "analytic-latency", space.EncodedDim(),
+      [w, &space](const Matrix& x, Vector* out) {
+        for (int i = 0; i < x.rows(); ++i) {
+          (*out)[i] = BatchLatencyAt(w, space, x.RowPtr(i));
+        }
+      });
 }
 
 namespace {
 
-std::shared_ptr<ObjectiveModel> BuildCostCoresModel() {
-  const ParamSpace& space = BatchParamSpace();
-  const int dim = space.EncodedDim();
-  auto fn = [&space](const Vector& x) {
-    const double instances = Denorm(space.spec(1), x[1]);
-    const double cores_per_exec = Denorm(space.spec(2), x[2]);
-    return instances * cores_per_exec;
-  };
-  auto grad = [&space, dim](const Vector& x) {
-    Vector g(dim, 0.0);
-    const ParamSpec& si = space.spec(1);
-    const ParamSpec& sc = space.spec(2);
-    const double instances = Denorm(si, x[1]);
-    const double cores_per_exec = Denorm(sc, x[2]);
-    g[1] = (si.hi - si.lo) * cores_per_exec;
-    g[2] = (sc.hi - sc.lo) * instances;
-    return g;
-  };
-  auto model = std::make_shared<CallableModel>("cost-cores", dim,
-                                               std::move(fn), std::move(grad));
-  model->WithBatch(
-      [&space](const Matrix& x, Vector* out) {
+// Cores = instances x cores-per-executor, with `instances_knob` and
+// `cores_knob` the knobs' indices in `space` (one encoded dim each).
+std::shared_ptr<ObjectiveModel> BuildCoresModel(std::string name,
+                                                const ParamSpace& space,
+                                                int instances_knob,
+                                                int cores_knob) {
+  const ParamSpec& si = space.spec(instances_knob);
+  const ParamSpec& sc = space.spec(cores_knob);
+  return std::make_shared<CallableModel>(
+      std::move(name), space.EncodedDim(),
+      [&si, &sc, instances_knob, cores_knob](const Matrix& x, Vector* out) {
         for (int i = 0; i < x.rows(); ++i) {
           const double* row = x.RowPtr(i);
-          (*out)[i] = Denorm(space.spec(1), row[1]) *
-                      Denorm(space.spec(2), row[2]);
+          (*out)[i] = Denorm(si, row[instances_knob]) *
+                      Denorm(sc, row[cores_knob]);
         }
       },
-      [&space](const Matrix& x, Matrix* grads, Vector* values) {
-        const ParamSpec& si = space.spec(1);
-        const ParamSpec& sc = space.spec(2);
+      [&si, &sc, instances_knob, cores_knob](const Matrix& x, Matrix* grads,
+                                             Vector* values) {
         for (int i = 0; i < x.rows(); ++i) {
           const double* row = x.RowPtr(i);
-          const double instances = Denorm(si, row[1]);
-          const double cores_per_exec = Denorm(sc, row[2]);
+          const double instances = Denorm(si, row[instances_knob]);
+          const double cores_per_exec = Denorm(sc, row[cores_knob]);
           double* g = grads->RowPtr(i);
-          g[1] = (si.hi - si.lo) * cores_per_exec;
-          g[2] = (sc.hi - sc.lo) * instances;
+          g[instances_knob] = (si.hi - si.lo) * cores_per_exec;
+          g[cores_knob] = (sc.hi - sc.lo) * instances;
           if (values != nullptr) (*values)[i] = instances * cores_per_exec;
         }
       });
-  return model;
-}
-
-std::shared_ptr<ObjectiveModel> BuildStreamCostCoresModel() {
-  const ParamSpace& space = StreamParamSpace();
-  const int dim = space.EncodedDim();
-  // Stream space layout: executor instances at knob 4, cores/executor at 5.
-  auto fn = [&space](const Vector& x) {
-    const double instances = Denorm(space.spec(4), x[4]);
-    const double cores_per_exec = Denorm(space.spec(5), x[5]);
-    return instances * cores_per_exec;
-  };
-  auto grad = [&space, dim](const Vector& x) {
-    Vector g(dim, 0.0);
-    const ParamSpec& si = space.spec(4);
-    const ParamSpec& sc = space.spec(5);
-    g[4] = (si.hi - si.lo) * Denorm(sc, x[5]);
-    g[5] = (sc.hi - sc.lo) * Denorm(si, x[4]);
-    return g;
-  };
-  auto model = std::make_shared<CallableModel>("stream-cost-cores", dim,
-                                               std::move(fn), std::move(grad));
-  model->WithBatch(
-      [&space](const Matrix& x, Vector* out) {
-        for (int i = 0; i < x.rows(); ++i) {
-          const double* row = x.RowPtr(i);
-          (*out)[i] = Denorm(space.spec(4), row[4]) *
-                      Denorm(space.spec(5), row[5]);
-        }
-      },
-      [&space](const Matrix& x, Matrix* grads, Vector* values) {
-        const ParamSpec& si = space.spec(4);
-        const ParamSpec& sc = space.spec(5);
-        for (int i = 0; i < x.rows(); ++i) {
-          const double* row = x.RowPtr(i);
-          double* g = grads->RowPtr(i);
-          g[4] = (si.hi - si.lo) * Denorm(sc, row[5]);
-          g[5] = (sc.hi - sc.lo) * Denorm(si, row[4]);
-          if (values != nullptr) {
-            (*values)[i] = Denorm(si, row[4]) * Denorm(sc, row[5]);
-          }
-        }
-      });
-  return model;
 }
 
 }  // namespace
@@ -200,14 +138,16 @@ std::shared_ptr<ObjectiveModel> MakeCostCoresModel() {
   // (a) skips a per-request allocation and (b) gives all such requests the
   // same FuseIdentity, which is what lets the solve coalescer fuse their CO
   // subproblems into one batched evaluation stream.
-  static const std::shared_ptr<ObjectiveModel> kShared = BuildCostCoresModel();
+  static const std::shared_ptr<ObjectiveModel> kShared =
+      BuildCoresModel("cost-cores", BatchParamSpace(), 1, 2);
   return kShared;
 }
 
 std::shared_ptr<ObjectiveModel> MakeStreamCostCoresModel() {
   // Shared for the same reasons as MakeCostCoresModel above.
+  // Stream space layout: executor instances at knob 4, cores/executor at 5.
   static const std::shared_ptr<ObjectiveModel> kShared =
-      BuildStreamCostCoresModel();
+      BuildCoresModel("stream-cost-cores", StreamParamSpace(), 4, 5);
   return kShared;
 }
 
@@ -217,24 +157,10 @@ std::shared_ptr<ObjectiveModel> MakeCpuHourModel(
   const int dim = latency_model->input_dim();
   std::shared_ptr<ObjectiveModel> cores = MakeCostCoresModel();
   UDAO_CHECK_EQ(dim, cores->input_dim());
-  auto fn = [latency_model, cores](const Vector& x) {
-    return latency_model->Predict(x) * cores->Predict(x) / 3600.0;
-  };
-  auto grad = [latency_model, cores](const Vector& x) {
-    const double lat = latency_model->Predict(x);
-    const double c = cores->Predict(x);
-    Vector gl = latency_model->InputGradient(x);
-    Vector gc = cores->InputGradient(x);
-    for (size_t d = 0; d < gl.size(); ++d) {
-      gl[d] = (gl[d] * c + lat * gc[d]) / 3600.0;
-    }
-    return gl;
-  };
-  auto model = std::make_shared<CallableModel>("cost-cpu-hour", dim,
-                                               std::move(fn), std::move(grad));
   // The product rule composes batch-wise from the factors' batch paths, so a
   // DNN latency times the analytic cores model stays one GEMM per batch.
-  model->WithBatch(
+  return std::make_shared<CallableModel>(
+      "cost-cpu-hour", dim,
       [latency_model, cores](const Matrix& x, Vector* out) {
         Vector lat;
         Vector c;
@@ -259,26 +185,22 @@ std::shared_ptr<ObjectiveModel> MakeCpuHourModel(
           if (values != nullptr) (*values)[i] = lat[i] * c[i] / 3600.0;
         }
       });
-  return model;
 }
 
 std::shared_ptr<ObjectiveModel> MakeFig3LatencyModel() {
-  auto fn = [](const Vector& x) { return Fig3LatencyAt(x.data()); };
-  auto model = std::make_shared<CallableModel>("fig3-latency", 2,
-                                               std::move(fn));
-  model->WithBatch([](const Matrix& x, Vector* out) {
-    for (int i = 0; i < x.rows(); ++i) (*out)[i] = Fig3LatencyAt(x.RowPtr(i));
-  });
-  return model;
+  return std::make_shared<CallableModel>(
+      "fig3-latency", 2, [](const Matrix& x, Vector* out) {
+        for (int i = 0; i < x.rows(); ++i) {
+          (*out)[i] = Fig3LatencyAt(x.RowPtr(i));
+        }
+      });
 }
 
 std::shared_ptr<ObjectiveModel> MakeFig3CostModel() {
-  auto fn = [](const Vector& x) { return Fig3CostAt(x.data()); };
-  auto model = std::make_shared<CallableModel>("fig3-cost", 2, std::move(fn));
-  model->WithBatch([](const Matrix& x, Vector* out) {
-    for (int i = 0; i < x.rows(); ++i) (*out)[i] = Fig3CostAt(x.RowPtr(i));
-  });
-  return model;
+  return std::make_shared<CallableModel>(
+      "fig3-cost", 2, [](const Matrix& x, Vector* out) {
+        for (int i = 0; i < x.rows(); ++i) (*out)[i] = Fig3CostAt(x.RowPtr(i));
+      });
 }
 
 }  // namespace udao

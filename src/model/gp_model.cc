@@ -40,13 +40,6 @@ double GpModel::Kernel(const double* a, const double* b) const {
   return signal_var_ * std::exp(-0.5 * quad);
 }
 
-Vector GpModel::KernelVector(const Vector& x) const {
-  UDAO_CHECK_EQ(static_cast<int>(x.size()), x_.cols());
-  Vector k(x_.rows());
-  for (int i = 0; i < x_.rows(); ++i) k[i] = Kernel(x.data(), x_.RowPtr(i));
-  return k;
-}
-
 Matrix GpModel::KernelMatrix(const Matrix& x) const {
   UDAO_CHECK_EQ(x.cols(), x_.cols());
   Matrix k(x.rows(), x_.rows());
@@ -190,60 +183,8 @@ StatusOr<std::shared_ptr<GpModel>> GpModel::Fit(const Matrix& x,
   return gp;
 }
 
-double GpModel::Predict(const Vector& x) const {
-  const Vector k = KernelVector(x);
-  const double t = Dot(k, alpha_) * y_std_ + y_mean_;
-  const double v = log_targets_ ? std::exp(t) : t;
-  UDAO_DCHECK_FINITE(v);
-  return v;
-}
-
-void GpModel::PredictWithUncertainty(const Vector& x, double* mean,
-                                     double* stddev) const {
-  const Vector k = KernelVector(x);
-  const double t_mean = Dot(k, alpha_) * y_std_ + y_mean_;
-  const Vector v = SolveLowerTriangular(chol_, k);
-  const double var = std::max(0.0, signal_var_ + noise_var_ - Dot(v, v));
-  const double t_std = std::sqrt(var) * y_std_;
-  if (log_targets_) {
-    // Delta method around the log-space posterior mean.
-    *mean = std::exp(t_mean);
-    *stddev = *mean * t_std;
-  } else {
-    *mean = t_mean;
-    *stddev = t_std;
-  }
-  UDAO_DCHECK_FINITE(*mean);
-  UDAO_DCHECK_FINITE(*stddev);
-}
-
-Vector GpModel::InputGradient(const Vector& x) const {
-  // d mean / d x_d = sum_i alpha_i k(x, x_i) (x_i_d - x_d) / l_d^2.
-  const Vector k = KernelVector(x);
-  Vector grad(x.size(), 0.0);
-  for (int i = 0; i < x_.rows(); ++i) {
-    const double w = alpha_[i] * k[i];
-    for (int d = 0; d < x_.cols(); ++d) {
-      grad[d] += w * (x_(i, d) - x[d]) /
-                 (lengthscales_[d] * lengthscales_[d]);
-    }
-  }
-  double scale = y_std_;
-  if (log_targets_) {
-    const Vector kv = KernelVector(x);
-    scale *= std::exp(Dot(kv, alpha_) * y_std_ + y_mean_);
-  }
-  for (double& g : grad) {
-    g *= scale;
-    UDAO_DCHECK_FINITE(g);
-  }
-  return grad;
-}
-
 void GpModel::PredictBatch(const Matrix& x, Vector* out) const {
   const Matrix k = KernelMatrix(x);
-  // Apply uses the same dispatched dot kernel as the scalar Predict path, so
-  // batch and scalar predictions stay bitwise-equal in every backend.
   const Vector acc = k.Apply(alpha_);
   out->resize(x.rows());
   for (int i = 0; i < x.rows(); ++i) {
@@ -256,7 +197,6 @@ void GpModel::PredictBatch(const Matrix& x, Vector* out) const {
 void GpModel::GradientBatch(const Matrix& x, Matrix* grads,
                             Vector* values) const {
   const Matrix k = KernelMatrix(x);
-  // Same dispatched dot as the scalar path; see PredictBatch.
   const Vector acc = k.Apply(alpha_);
   grads->Resize(x.rows(), x_.cols());
   std::fill(grads->data().begin(), grads->data().end(), 0.0);

@@ -46,10 +46,6 @@ class GpModel : public ObjectiveModel {
                                                 const Vector& y,
                                                 const GpConfig& config);
 
-  double Predict(const Vector& x) const override;
-  void PredictWithUncertainty(const Vector& x, double* mean,
-                              double* stddev) const override;
-  Vector InputGradient(const Vector& x) const override;
   // Batched inference shares one cross-kernel matrix K* [n, n_train] across
   // predictions, gradients, and the posterior variance of all query points.
   void PredictBatch(const Matrix& x, Vector* out) const override;
@@ -77,7 +73,6 @@ class GpModel : public ObjectiveModel {
   GpModel() = default;
 
   double Kernel(const double* a, const double* b) const;
-  Vector KernelVector(const Vector& x) const;
   // Cross-kernel matrix k(x_i, train_j) for every row of `x`.
   Matrix KernelMatrix(const Matrix& x) const;
   // Recomputes the factorization for the current hyperparameters; returns

@@ -88,44 +88,6 @@ std::shared_ptr<MlpModel> MlpModel::Clone() const {
       new MlpModel(config_, std::make_unique<Mlp>(*mlp_), y_mean_, y_std_));
 }
 
-double MlpModel::Predict(const Vector& x) const {
-  return FromTarget(mlp_->Predict(x) * y_std_ + y_mean_);
-}
-
-void MlpModel::PredictWithUncertainty(const Vector& x, double* mean,
-                                      double* stddev) const {
-  if (config_.dropout <= 0.0 || config_.mc_samples < 2) {
-    *mean = Predict(x);
-    *stddev = 0.0;
-    return;
-  }
-  Rng rng(SeedFromPoint(x));
-  double zm = 0.0;
-  double zs = 0.0;
-  mlp_->PredictWithUncertainty(x, config_.mc_samples, &rng, &zm, &zs);
-  const double t_mean = zm * y_std_ + y_mean_;
-  const double t_std = zs * y_std_;
-  if (config_.log_transform_targets) {
-    // Delta method around the log-space mean.
-    *mean = std::exp(t_mean);
-    *stddev = *mean * t_std;
-  } else {
-    *mean = t_mean;
-    *stddev = t_std;
-  }
-}
-
-Vector MlpModel::InputGradient(const Vector& x) const {
-  Vector grad = mlp_->InputGradient(x);
-  double scale = y_std_;
-  if (config_.log_transform_targets) {
-    // d exp(t(x)) / dx = exp(t(x)) * dt/dx.
-    scale *= FromTarget(mlp_->Predict(x) * y_std_ + y_mean_);
-  }
-  for (double& g : grad) g *= scale;
-  return grad;
-}
-
 void MlpModel::PredictBatch(const Matrix& x, Vector* out) const {
   // Batched entry points are the GEMM fast path MOGD's lockstep descent
   // lives on; the batch-size histogram is how bench reports show whether
@@ -230,11 +192,20 @@ StatusOr<std::shared_ptr<MlpModel>> MlpModel::Deserialize(std::istream& in) {
   }
   MlpConfig net;
   net.layer_sizes.resize(num_sizes);
-  for (size_t i = 0; i < num_sizes; ++i) in >> net.layer_sizes[i];
+  for (int& width : net.layer_sizes) {
+    in >> width;
+    if (!in || width < 1) {
+      return Status::InvalidArgument("corrupt MLP checkpoint layer width");
+    }
+  }
   MlpModelConfig cfg;
   int activation = 0;
   int log_flag = 0;
   in >> activation >> cfg.l2 >> cfg.dropout >> cfg.mc_samples >> log_flag;
+  if (activation != static_cast<int>(Activation::kRelu) &&
+      activation != static_cast<int>(Activation::kTanh)) {
+    return Status::InvalidArgument("unknown MLP checkpoint activation");
+  }
   cfg.activation = static_cast<Activation>(activation);
   cfg.log_transform_targets = log_flag != 0;
   cfg.hidden.assign(net.layer_sizes.begin() + 1, net.layer_sizes.end() - 1);
@@ -246,17 +217,25 @@ StatusOr<std::shared_ptr<MlpModel>> MlpModel::Deserialize(std::istream& in) {
   in >> y_mean >> y_std;
   size_t num_weights = 0;
   in >> num_weights;
-  if (!in || num_weights > (1u << 26)) {
+  constexpr size_t kMaxWeights = size_t{1} << 26;
+  if (!in || num_weights > kMaxWeights) {
     return Status::InvalidArgument("corrupt MLP checkpoint body");
+  }
+  // The header widths imply the parameter count; compare before allocating.
+  size_t implied = 0;
+  for (size_t l = 0; l + 1 < num_sizes && implied <= kMaxWeights; ++l) {
+    const size_t fan_in = static_cast<size_t>(net.layer_sizes[l]);
+    const size_t fan_out = static_cast<size_t>(net.layer_sizes[l + 1]);
+    implied += fan_out * (fan_in + 1);
+  }
+  if (implied != num_weights) {
+    return Status::InvalidArgument("MLP checkpoint weight count mismatch");
   }
   Vector snapshot(num_weights);
   for (double& w : snapshot) in >> w;
   if (!in) return Status::InvalidArgument("truncated MLP checkpoint");
   Rng rng(0);
   auto mlp = std::make_unique<Mlp>(net, &rng);
-  if (mlp->Snapshot().size() != snapshot.size()) {
-    return Status::InvalidArgument("MLP checkpoint weight count mismatch");
-  }
   mlp->Restore(snapshot);
   return std::shared_ptr<MlpModel>(
       new MlpModel(cfg, std::move(mlp), y_mean, y_std));

@@ -47,15 +47,10 @@ class MlpModel : public ObjectiveModel {
   /// clone and swaps it in, so previously served handles stay immutable.
   std::shared_ptr<MlpModel> Clone() const;
 
-  double Predict(const Vector& x) const override;
-  void PredictWithUncertainty(const Vector& x, double* mean,
-                              double* stddev) const override;
-  Vector InputGradient(const Vector& x) const override;
-  // Batched inference rides the GEMM forward/backward in nn/mlp.cc; MOGD's
-  // lockstep multistart loop enters here. Batched MC-dropout keeps the
-  // per-point seed contract (row r is seeded from row r's coordinates) while
-  // running each stochastic pass as one fused kernel over all rows, so it is
-  // bitwise-interchangeable with the scalar PredictWithUncertainty per row.
+  // Inference rides the batched forward/backward in nn/mlp.cc; MOGD's
+  // lockstep multistart loop enters here. MC-dropout seeds row r's masks
+  // from row r's coordinates while running each stochastic pass as one fused
+  // kernel over all rows, so a point's estimate is the same in any batch.
   void PredictBatch(const Matrix& x, Vector* out) const override;
   void PredictWithUncertaintyBatch(const Matrix& x, Vector* mean,
                                    Vector* stddev) const override;

@@ -6,74 +6,134 @@
 
 namespace udao {
 
+namespace {
+
+Matrix OneRow(const Vector& x) {
+  Matrix m(1, static_cast<int>(x.size()));
+  std::copy(x.begin(), x.end(), m.data().begin());
+  return m;
+}
+
+// Central finite differences of a batch value form at every row of `x`: the
+// +h and -h probes of every coordinate of every row go through one call.
+void CentralDifferences(const CallableModel::BatchFn& fn, const Matrix& x,
+                        double h, Matrix* grads) {
+  const int rows = x.rows();
+  const int dim = x.cols();
+  Matrix probes(2 * rows * dim, dim);
+  for (int i = 0; i < rows; ++i) {
+    for (int d = 0; d < dim; ++d) {
+      double* plus = probes.RowPtr(2 * (i * dim + d));
+      double* minus = plus + dim;
+      std::copy(x.RowPtr(i), x.RowPtr(i) + dim, plus);
+      std::copy(x.RowPtr(i), x.RowPtr(i) + dim, minus);
+      plus[d] += h;
+      minus[d] -= h;
+    }
+  }
+  Vector values(probes.rows());
+  fn(probes, &values);
+  grads->Resize(rows, dim);
+  for (int i = 0; i < rows; ++i) {
+    double* g = grads->RowPtr(i);
+    for (int d = 0; d < dim; ++d) {
+      const int k = 2 * (i * dim + d);
+      g[d] = (values[k] - values[k + 1]) / (2.0 * h);
+    }
+  }
+}
+
+// FiniteDifferenceGradient's default step.
+constexpr double kFiniteDifferenceStep = 1e-5;
+
+// Copies row i of `x` into `point`, which the lifted per-point callables
+// reuse across rows.
+void LoadRow(const Matrix& x, int i, Vector* point) {
+  point->assign(x.RowPtr(i), x.RowPtr(i) + x.cols());
+}
+
+CallableModel::BatchFn LiftValues(CallableModel::Fn fn) {
+  return [fn = std::move(fn)](const Matrix& x, Vector* out) {
+    Vector point;
+    for (int i = 0; i < x.rows(); ++i) {
+      LoadRow(x, i, &point);
+      (*out)[i] = fn(point);
+    }
+  };
+}
+
+}  // namespace
+
 Vector FiniteDifferenceGradient(const ObjectiveModel& model, const Vector& x,
                                 double h) {
-  Vector grad(x.size());
-  Vector probe = x;
-  for (size_t d = 0; d < x.size(); ++d) {
-    const double orig = probe[d];
-    probe[d] = orig + h;
-    const double fp = model.Predict(probe);
-    probe[d] = orig - h;
-    const double fm = model.Predict(probe);
-    probe[d] = orig;
-    grad[d] = (fp - fm) / (2.0 * h);
-  }
-  return grad;
-}
-
-void ObjectiveModel::PredictBatch(const Matrix& x, Vector* out) const {
-  UDAO_CHECK_EQ(x.cols(), input_dim());
-  out->resize(x.rows());
-  for (int i = 0; i < x.rows(); ++i) (*out)[i] = Predict(x.Row(i));
-}
-
-void ObjectiveModel::GradientBatch(const Matrix& x, Matrix* grads,
-                                   Vector* values) const {
-  UDAO_CHECK_EQ(x.cols(), input_dim());
-  // Resize (not reconstruct) so a caller-held matrix keeps its allocation
-  // across solver iterations; every row is fully overwritten below.
-  grads->Resize(x.rows(), input_dim());
-  if (values != nullptr) values->resize(x.rows());
-  for (int i = 0; i < x.rows(); ++i) {
-    const Vector point = x.Row(i);
-    const Vector g = InputGradient(point);
-    UDAO_CHECK_EQ(static_cast<int>(g.size()), grads->cols());
-    double* row = grads->RowPtr(i);
-    for (int d = 0; d < grads->cols(); ++d) row[d] = g[d];
-    if (values != nullptr) (*values)[i] = Predict(point);
-  }
+  Matrix grads;
+  CentralDifferences(
+      [&model](const Matrix& probes, Vector* out) {
+        model.PredictBatch(probes, out);
+      },
+      OneRow(x), h, &grads);
+  return grads.Row(0);
 }
 
 void ObjectiveModel::PredictWithUncertaintyBatch(const Matrix& x, Vector* mean,
                                                  Vector* stddev) const {
-  UDAO_CHECK_EQ(x.cols(), input_dim());
-  mean->resize(x.rows());
-  stddev->resize(x.rows());
-  for (int i = 0; i < x.rows(); ++i) {
-    PredictWithUncertainty(x.Row(i), &(*mean)[i], &(*stddev)[i]);
-  }
+  PredictBatch(x, mean);
+  stddev->assign(x.rows(), 0.0);
 }
+
+double ObjectiveModel::Predict(const Vector& x) const {
+  Vector out;
+  PredictBatch(OneRow(x), &out);
+  return out[0];
+}
+
+void ObjectiveModel::PredictWithUncertainty(const Vector& x, double* mean,
+                                            double* stddev) const {
+  Vector means;
+  Vector stddevs;
+  PredictWithUncertaintyBatch(OneRow(x), &means, &stddevs);
+  *mean = means[0];
+  *stddev = stddevs[0];
+}
+
+Vector ObjectiveModel::InputGradient(const Vector& x) const {
+  Matrix grads;
+  GradientBatch(OneRow(x), &grads);
+  return grads.Row(0);
+}
+
+CallableModel::CallableModel(std::string name, int dim, Fn fn, GradFn grad)
+    : CallableModel(
+          std::move(name), dim, LiftValues(fn),
+          [fn, grad = std::move(grad)](const Matrix& x, Matrix* grads,
+                                       Vector* values) {
+            Vector point;
+            for (int i = 0; i < x.rows(); ++i) {
+              LoadRow(x, i, &point);
+              const Vector g = grad(point);
+              UDAO_CHECK_EQ(static_cast<int>(g.size()), grads->cols());
+              std::copy(g.begin(), g.end(), grads->RowPtr(i));
+              if (values != nullptr) (*values)[i] = fn(point);
+            }
+          }) {}
 
 CallableModel::CallableModel(std::string name, int dim, Fn fn)
-    : name_(std::move(name)), dim_(dim), fn_(std::move(fn)) {
-  grad_ = [this](const Vector& x) {
-    return FiniteDifferenceGradient(*this, x);
-  };
-}
+    : CallableModel(std::move(name), dim, LiftValues(std::move(fn))) {}
 
-CallableModel& CallableModel::WithBatch(BatchFn batch_fn,
-                                        BatchGradFn batch_grad) {
-  batch_fn_ = std::move(batch_fn);
-  batch_grad_ = std::move(batch_grad);
-  return *this;
+CallableModel::CallableModel(std::string name, int dim, BatchFn batch_fn,
+                             BatchGradFn batch_grad)
+    : name_(std::move(name)), dim_(dim), batch_fn_(std::move(batch_fn)),
+      batch_grad_(std::move(batch_grad)) {
+  if (batch_grad_ == nullptr) {
+    batch_grad_ = [fn = batch_fn_](const Matrix& x, Matrix* grads,
+                                   Vector* values) {
+      CentralDifferences(fn, x, kFiniteDifferenceStep, grads);
+      if (values != nullptr) fn(x, values);
+    };
+  }
 }
 
 void CallableModel::PredictBatch(const Matrix& x, Vector* out) const {
-  if (batch_fn_ == nullptr) {
-    ObjectiveModel::PredictBatch(x, out);
-    return;
-  }
   UDAO_CHECK_EQ(x.cols(), dim_);
   out->resize(x.rows());
   batch_fn_(x, out);
@@ -81,16 +141,6 @@ void CallableModel::PredictBatch(const Matrix& x, Vector* out) const {
 
 void CallableModel::GradientBatch(const Matrix& x, Matrix* grads,
                                   Vector* values) const {
-  if (batch_grad_ == nullptr) {
-    // A vectorized value form still speeds up the fused path's values.
-    if (batch_fn_ != nullptr && values != nullptr) {
-      ObjectiveModel::GradientBatch(x, grads, nullptr);
-      PredictBatch(x, values);
-      return;
-    }
-    ObjectiveModel::GradientBatch(x, grads, values);
-    return;
-  }
   UDAO_CHECK_EQ(x.cols(), dim_);
   // The callback contract hands user code a zeroed gradient matrix, so the
   // Resize is followed by an explicit fill.
@@ -98,20 +148,6 @@ void CallableModel::GradientBatch(const Matrix& x, Matrix* grads,
   std::fill(grads->data().begin(), grads->data().end(), 0.0);
   if (values != nullptr) values->resize(x.rows());
   batch_grad_(x, grads, values);
-}
-
-double NonNegativeModel::Predict(const Vector& x) const {
-  return std::max(0.0, base_->Predict(x));
-}
-
-void NonNegativeModel::PredictWithUncertainty(const Vector& x, double* mean,
-                                              double* stddev) const {
-  base_->PredictWithUncertainty(x, mean, stddev);
-  *mean = std::max(0.0, *mean);
-}
-
-Vector NonNegativeModel::InputGradient(const Vector& x) const {
-  return base_->InputGradient(x);
 }
 
 void NonNegativeModel::PredictBatch(const Matrix& x, Vector* out) const {
@@ -133,55 +169,6 @@ void NonNegativeModel::PredictWithUncertaintyBatch(const Matrix& x,
                                                    Vector* stddev) const {
   base_->PredictWithUncertaintyBatch(x, mean, stddev);
   for (double& v : *mean) v = std::max(0.0, v);
-}
-
-double UncertaintyAdjustedModel::Predict(const Vector& x) const {
-  double mean = 0.0;
-  double stddev = 0.0;
-  base_->PredictWithUncertainty(x, &mean, &stddev);
-  return mean + alpha_ * stddev;
-}
-
-void UncertaintyAdjustedModel::PredictWithUncertainty(const Vector& x,
-                                                      double* mean,
-                                                      double* stddev) const {
-  base_->PredictWithUncertainty(x, mean, stddev);
-  *mean += alpha_ * *stddev;
-}
-
-void UncertaintyAdjustedModel::PredictBatch(const Matrix& x,
-                                            Vector* out) const {
-  Vector stddev;
-  base_->PredictWithUncertaintyBatch(x, out, &stddev);
-  for (size_t i = 0; i < out->size(); ++i) (*out)[i] += alpha_ * stddev[i];
-}
-
-void UncertaintyAdjustedModel::PredictWithUncertaintyBatch(
-    const Matrix& x, Vector* mean, Vector* stddev) const {
-  base_->PredictWithUncertaintyBatch(x, mean, stddev);
-  for (size_t i = 0; i < mean->size(); ++i) (*mean)[i] += alpha_ * (*stddev)[i];
-}
-
-Vector UncertaintyAdjustedModel::InputGradient(const Vector& x) const {
-  Vector grad = base_->InputGradient(x);
-  if (alpha_ == 0.0) return grad;
-  // Gradient of the stddev term by central differences; GP/MC-dropout stddev
-  // fields are smooth enough for this to guide descent.
-  const double h = 1e-4;
-  Vector probe = x;
-  for (size_t d = 0; d < x.size(); ++d) {
-    double mean = 0.0;
-    double sp = 0.0;
-    double sm = 0.0;
-    const double orig = probe[d];
-    probe[d] = orig + h;
-    base_->PredictWithUncertainty(probe, &mean, &sp);
-    probe[d] = orig - h;
-    base_->PredictWithUncertainty(probe, &mean, &sm);
-    probe[d] = orig;
-    grad[d] += alpha_ * (sp - sm) / (2.0 * h);
-  }
-  return grad;
 }
 
 }  // namespace udao

@@ -20,38 +20,35 @@ class ObjectiveModel {
  public:
   virtual ~ObjectiveModel() = default;
 
-  /// Predicted objective value at encoded configuration x.
-  virtual double Predict(const Vector& x) const = 0;
+  /// Batched evaluation surface, the only evaluation code a model has. Each
+  /// row of `x` is one encoded point, and a row's results never depend on
+  /// the other rows of its batch, so an N-row call equals N 1-row calls
+  /// (which is what lets the solve coalescer fuse callers' rows). MOGD and
+  /// PF-AP issue thousands of predictions per run through these entry
+  /// points.
+  virtual void PredictBatch(const Matrix& x, Vector* out) const = 0;
 
-  /// Predictive mean and standard deviation. Models without a native
-  /// uncertainty notion report stddev 0.
-  virtual void PredictWithUncertainty(const Vector& x, double* mean,
-                                      double* stddev) const {
-    *mean = Predict(x);
-    *stddev = 0.0;
-  }
-
-  /// Subgradient of Predict with respect to x. Every model used by MOGD must
-  /// be subdifferentiable (Section IV-B).
-  virtual Vector InputGradient(const Vector& x) const = 0;
-
-  /// Batched evaluation surface. Each row of `x` is one encoded point; the
-  /// defaults fall back to a scalar loop, so every model supports batching
-  /// and fast models (GEMM MLP forward, batched GP kernels, vectorized
-  /// closed forms) override with a single tensor-style pass. MOGD and PF-AP
-  /// issue thousands of predictions per run through these entry points.
-  virtual void PredictBatch(const Matrix& x, Vector* out) const;
-
-  /// Gradients for every row of `x`: row i of `grads` is InputGradient of
-  /// x.Row(i). When `values` is non-null it also receives the predictions,
-  /// letting implementations share one forward pass between value and
-  /// gradient -- the MOGD hot path evaluates both at every Adam step.
+  /// Subgradients for every row of `x`. Every model used by MOGD must be
+  /// subdifferentiable (Section IV-B). When `values` is non-null it also
+  /// receives the predictions, letting implementations share one forward
+  /// pass between value and gradient -- the MOGD hot path evaluates both at
+  /// every Adam step.
   virtual void GradientBatch(const Matrix& x, Matrix* grads,
-                             Vector* values = nullptr) const;
+                             Vector* values = nullptr) const = 0;
 
-  /// Batched mean/stddev; same contract as PredictWithUncertainty per row.
+  /// Predictive mean and standard deviation per row. The default serves
+  /// models without a native uncertainty notion: PredictBatch's values with
+  /// stddev 0.
   virtual void PredictWithUncertaintyBatch(const Matrix& x, Vector* mean,
                                            Vector* stddev) const;
+
+  /// 1-row calls into the batch surface. Virtual only so that decorators
+  /// outside src/ (perfbench's TimedModel) can forward them; no model in
+  /// src/ overrides them (udao_lint rule scalar-model-override).
+  virtual double Predict(const Vector& x) const;
+  virtual void PredictWithUncertainty(const Vector& x, double* mean,
+                                      double* stddev) const;
+  virtual Vector InputGradient(const Vector& x) const;
 
   /// Input dimensionality (encoded).
   virtual int input_dim() const = 0;
@@ -71,31 +68,31 @@ class ObjectiveModel {
   virtual const void* FuseIdentity() const { return this; }
 };
 
-/// A model defined by arbitrary callables; the adapter used in tests and for
-/// the hand-crafted regression models' lambdas.
+/// A model defined by callables; the adapter used by tests, the analytic
+/// regression models and the stage-level subproblems. It stores one batch
+/// form; per-point callables are lifted into it at construction.
 class CallableModel : public ObjectiveModel {
  public:
   using Fn = std::function<double(const Vector&)>;
   using GradFn = std::function<Vector(const Vector&)>;
   using BatchFn = std::function<void(const Matrix&, Vector*)>;
+  /// Receives a zeroed gradient matrix and, when requested, a values vector,
+  /// both sized to the batch.
   using BatchGradFn = std::function<void(const Matrix&, Matrix*, Vector*)>;
 
-  /// Builds from a value function and an explicit gradient.
-  CallableModel(std::string name, int dim, Fn fn, GradFn grad)
-      : name_(std::move(name)), dim_(dim), fn_(std::move(fn)),
-        grad_(std::move(grad)) {}
+  /// Builds from a per-point value function and an explicit gradient.
+  CallableModel(std::string name, int dim, Fn fn, GradFn grad);
 
-  /// Builds from a value function only; the gradient falls back to central
-  /// finite differences (adequate for baselines that do not descend).
+  /// Builds from a per-point value function only; the gradient falls back
+  /// to central finite differences (adequate for baselines that do not
+  /// descend, and for smooth closed forms).
   CallableModel(std::string name, int dim, Fn fn);
 
-  /// Installs vectorized closed forms used by PredictBatch/GradientBatch
-  /// instead of the scalar loop (the analytic models provide these).
-  /// Returns *this for chained setup at construction sites.
-  CallableModel& WithBatch(BatchFn batch_fn, BatchGradFn batch_grad = nullptr);
+  /// Builds from batch forms (vectorized closed forms). A null `batch_grad`
+  /// falls back to central finite differences of `batch_fn`.
+  CallableModel(std::string name, int dim, BatchFn batch_fn,
+                BatchGradFn batch_grad = nullptr);
 
-  double Predict(const Vector& x) const override { return fn_(x); }
-  Vector InputGradient(const Vector& x) const override { return grad_(x); }
   void PredictBatch(const Matrix& x, Vector* out) const override;
   void GradientBatch(const Matrix& x, Matrix* grads,
                      Vector* values = nullptr) const override;
@@ -105,36 +102,8 @@ class CallableModel : public ObjectiveModel {
  private:
   std::string name_;
   int dim_;
-  Fn fn_;
-  GradFn grad_;
   BatchFn batch_fn_;
   BatchGradFn batch_grad_;
-};
-
-/// Wraps a base model with the paper's uncertainty adjustment:
-///   F~(x) = E[F(x)] + alpha * std[F(x)]
-/// which MOGD minimizes instead of the raw mean when models are inaccurate
-/// (Section IV-B.3). The gradient of the std term is approximated by finite
-/// differences of the stddev field, which is smooth for GPs.
-class UncertaintyAdjustedModel : public ObjectiveModel {
- public:
-  UncertaintyAdjustedModel(std::shared_ptr<const ObjectiveModel> base,
-                           double alpha)
-      : base_(std::move(base)), alpha_(alpha) {}
-
-  double Predict(const Vector& x) const override;
-  void PredictWithUncertainty(const Vector& x, double* mean,
-                              double* stddev) const override;
-  Vector InputGradient(const Vector& x) const override;
-  void PredictBatch(const Matrix& x, Vector* out) const override;
-  void PredictWithUncertaintyBatch(const Matrix& x, Vector* mean,
-                                   Vector* stddev) const override;
-  int input_dim() const override { return base_->input_dim(); }
-  std::string Name() const override { return base_->Name() + "+ucb"; }
-
- private:
-  std::shared_ptr<const ObjectiveModel> base_;
-  double alpha_;
 };
 
 /// Wraps a learned model of a physically non-negative quantity (latency,
@@ -149,10 +118,6 @@ class NonNegativeModel : public ObjectiveModel {
   explicit NonNegativeModel(std::shared_ptr<const ObjectiveModel> base)
       : base_(std::move(base)) {}
 
-  double Predict(const Vector& x) const override;
-  void PredictWithUncertainty(const Vector& x, double* mean,
-                              double* stddev) const override;
-  Vector InputGradient(const Vector& x) const override;
   void PredictBatch(const Matrix& x, Vector* out) const override;
   void GradientBatch(const Matrix& x, Matrix* grads,
                      Vector* values = nullptr) const override;
@@ -168,7 +133,8 @@ class NonNegativeModel : public ObjectiveModel {
   std::shared_ptr<const ObjectiveModel> base_;
 };
 
-/// Central finite-difference gradient of an arbitrary model; shared helper.
+/// Central finite-difference gradient of an arbitrary model at x; all
+/// 2 * dim probes go through one PredictBatch call.
 Vector FiniteDifferenceGradient(const ObjectiveModel& model, const Vector& x,
                                 double h = 1e-5);
 

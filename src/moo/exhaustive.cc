@@ -13,10 +13,10 @@ namespace {
 
 // The sweep is evaluated in fixed-size batches through the models' batched
 // surface, so a DNN objective costs one fused GEMM per chunk instead of a
-// matrix-vector product per candidate. PredictBatch is bitwise-equal to the
-// scalar Predict path (the contract batch_eval_test pins for every model
-// class), so the chunked sweep selects exactly the candidates the original
-// per-point loop did. The chunk bounds peak memory and keeps activations
+// matrix-vector product per candidate. A row's prediction does not depend
+// on the rows batched with it (the contract batch_eval_test pins for every
+// model class), so the chunked sweep selects exactly the candidates a
+// per-point loop would. The chunk bounds peak memory and keeps activations
 // cache-resident.
 constexpr int kChunk = 1024;
 

@@ -12,10 +12,10 @@ namespace kernels {
 /// The dense-kernel backends. Exactly one is active per process; it is chosen
 /// once at startup (see ActiveTable) and every dense primitive in the
 /// codebase -- Matrix products, the MLP forward/backward GEMMs, Adam's axpy
-/// updates -- routes through it. Within one backend, batched and scalar
-/// entry points share the same primitives, so batch-vs-scalar results stay
-/// bitwise equal; across backends results may differ in the last bits (the
-/// tolerance contract pinned by kernel_parity_test and DESIGN.md).
+/// updates -- routes through it. Within one backend, a row's results are
+/// the same in any batch and equal the per-sample reference loops in
+/// tests/ bit for bit; across backends results may differ in the last bits
+/// (the tolerance contract pinned by kernel_parity_test and DESIGN.md).
 enum class Backend {
   /// Portable reference kernels: bitwise-identical to the plain loops the
   /// Matrix/Mlp code used before the kernel layer existed. Elementwise axpy
@@ -64,7 +64,7 @@ struct KernelTable {
   /// accumulates via axpy in k order, skipping a[i][kk] == 0.0 terms -- the
   /// exact semantics (and, per element, the exact operation order) of the
   /// pre-kernel Matrix::Multiply / ApplyTranspose loops, which is what keeps
-  /// batched backprop bitwise-equal to the scalar path within a backend.
+  /// batched backprop bitwise-equal to a per-sample loop within a backend.
   void (*gemm_nn)(const double* a, int rows, int k, const double* b, int cols,
                   double* out);
 };

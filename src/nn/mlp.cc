@@ -27,53 +27,17 @@ Mlp::Mlp(MlpConfig config, Rng* rng) : config_(std::move(config)) {
   }
 }
 
-double Mlp::Act(double v) const {
-  switch (config_.activation) {
-    case Activation::kRelu:
-      return v > 0.0 ? v : 0.0;
-    case Activation::kTanh:
-      return std::tanh(v);
+size_t Mlp::MaxWidth() const {
+  size_t width = 1;
+  for (size_t l = 1; l < config_.layer_sizes.size(); ++l) {
+    width = std::max(width, static_cast<size_t>(config_.layer_sizes[l]));
   }
-  return v;
-}
-
-double Mlp::ActGrad(double pre, double post) const {
-  switch (config_.activation) {
-    case Activation::kRelu:
-      // Subgradient 0 at the kink (pre == 0), per the paper's
-      // subdifferentiability discussion.
-      return pre > 0.0 ? 1.0 : 0.0;
-    case Activation::kTanh:
-      return 1.0 - post * post;
-  }
-  return 1.0;
-}
-
-Vector Mlp::ForwardCached(const Vector& x, std::vector<Vector>* pre,
-                          std::vector<Vector>* post,
-                          const std::vector<Vector>* dropout_masks) const {
-  UDAO_CHECK_EQ(static_cast<int>(x.size()), input_dim());
-  Vector cur = x;
-  const int num_layers = static_cast<int>(layers_.size());
-  for (int l = 0; l < num_layers; ++l) {
-    Vector z = layers_[l].w.Apply(cur);
-    for (size_t i = 0; i < z.size(); ++i) z[i] += layers_[l].b[i];
-    if (pre != nullptr) pre->push_back(z);
-    const bool is_output = (l == num_layers - 1);
-    Vector a(z.size());
-    for (size_t i = 0; i < z.size(); ++i) a[i] = is_output ? z[i] : Act(z[i]);
-    if (!is_output && dropout_masks != nullptr) {
-      const Vector& mask = (*dropout_masks)[l];
-      for (size_t i = 0; i < a.size(); ++i) a[i] *= mask[i];
-    }
-    if (post != nullptr) post->push_back(a);
-    cur = std::move(a);
-  }
-  return cur;
+  return width;
 }
 
 const double* Mlp::ForwardArena(const Matrix& x, kernels::KernelArena* arena,
-                                std::vector<const double*>* post) const {
+                                std::vector<const double*>* post,
+                                const std::vector<double*>* masks) const {
   UDAO_CHECK_EQ(x.cols(), input_dim());
   const int rows = x.rows();
   const double* cur = x.data().data();
@@ -84,15 +48,13 @@ const double* Mlp::ForwardArena(const Matrix& x, kernels::KernelArena* arena,
   for (int l = 0; l < num_layers; ++l) {
     // out = fuse(cur * W^T + bias): one fused layer kernel for the whole
     // batch. Per output element the kernel performs dot, then + bias, then
-    // the activation -- the exact operation sequence of the scalar Apply
-    // path -- so batched and scalar predictions agree bitwise within a
-    // kernel backend. The kernel picks the fully-unrolled 128-wide dot
-    // whenever fan_in == 128 (the paper's 4x128 topology).
+    // the activation, so a row's outputs are the same whatever else shares
+    // its batch. The kernel picks the fully-unrolled 128-wide dot whenever
+    // fan_in == 128 (the paper's 4x128 topology).
     const Layer& layer = layers_[l];
     const int fan_in = layer.w.cols();
     const int fan_out = layer.w.rows();
-    double* out =
-        arena->Alloc(static_cast<size_t>(rows) * fan_out);
+    double* out = arena->Alloc(static_cast<size_t>(rows) * fan_out);
     const bool is_output = (l == num_layers - 1);
     const bool fuse_relu =
         !is_output && config_.activation == Activation::kRelu;
@@ -101,11 +63,18 @@ const double* Mlp::ForwardArena(const Matrix& x, kernels::KernelArena* arena,
                      fuse_relu ? kernels::Fused::kBiasRelu
                                : kernels::Fused::kBias,
                      out);
-    if (!is_output && config_.activation == Activation::kTanh) {
-      // tanh stays a scalar per-element call in every backend, matching
-      // Act() exactly (libm's tanh is the dominant cost either way).
+    if (!is_output) {
       const size_t count = static_cast<size_t>(rows) * fan_out;
-      for (size_t i = 0; i < count; ++i) out[i] = std::tanh(out[i]);
+      if (config_.activation == Activation::kTanh) {
+        // tanh stays a scalar per-element call in every backend (libm's
+        // tanh is the dominant cost either way).
+        for (size_t i = 0; i < count; ++i) out[i] = std::tanh(out[i]);
+      }
+      if (masks != nullptr) {
+        // Dropout masks scale post-activation outputs.
+        const double* m = (*masks)[l];
+        for (size_t i = 0; i < count; ++i) out[i] *= m[i];
+      }
     }
     if (post != nullptr) post->push_back(out);
     cur = out;
@@ -113,14 +82,60 @@ const double* Mlp::ForwardArena(const Matrix& x, kernels::KernelArena* arena,
   return cur;
 }
 
-Matrix Mlp::ForwardBatch(const Matrix& x) const {
-  kernels::KernelArena& arena = kernels::KernelArena::ThreadLocal();
-  kernels::KernelArena::Scope scope(&arena);
-  const double* out = ForwardArena(x, &arena, nullptr);
-  Matrix y(x.rows(), output_dim());
-  std::copy(out, out + static_cast<size_t>(x.rows()) * output_dim(),
-            y.data().begin());
-  return y;
+void Mlp::Backward(const Matrix& x, const std::vector<const double*>& post,
+                   double* delta, kernels::KernelArena* arena,
+                   std::vector<LayerGrad>* grads, double* input_grad) const {
+  const int rows = x.rows();
+  const size_t capacity = static_cast<size_t>(rows) * MaxWidth();
+  double* scratch = arena->Alloc(capacity);
+  double* delta_t = grads != nullptr ? arena->Alloc(capacity) : nullptr;
+  const kernels::KernelTable* t = kernels::ActiveTable();
+  const int num_layers = static_cast<int>(layers_.size());
+  int width = 1;
+  for (int l = num_layers - 1; l >= 0; --l) {
+    // delta holds d(loss)/d(post-activation of layer l), [rows x width].
+    if (l != num_layers - 1) {
+      // Elementwise activation-gradient scaling stays plain (non-kernel)
+      // code, so it is never FMA-contracted in any backend.
+      const double* p = post[l];
+      const size_t count = static_cast<size_t>(rows) * width;
+      if (config_.activation == Activation::kRelu) {
+        // post > 0 iff pre > 0 for relu: the subgradient is 0 at the kink.
+        for (size_t i = 0; i < count; ++i) delta[i] *= p[i] > 0.0 ? 1.0 : 0.0;
+      } else {
+        for (size_t i = 0; i < count; ++i) delta[i] *= 1.0 - p[i] * p[i];
+      }
+    }
+    const Layer& layer = layers_[l];
+    const int fan_in = layer.w.cols();
+    if (grads != nullptr) {
+      // dW = delta^T * in. gemm_nn over the transposed deltas accumulates
+      // every weight across rows in row order, skipping zero deltas; db sums
+      // each delta column in row order.
+      LayerGrad& g = (*grads)[l];
+      UDAO_CHECK_EQ(g.dw.data().size(), layer.w.data().size());
+      UDAO_CHECK_EQ(g.db.size(), layer.b.size());
+      for (int n = 0; n < rows; ++n) {
+        for (int r = 0; r < width; ++r) {
+          delta_t[static_cast<size_t>(r) * rows + n] =
+              delta[static_cast<size_t>(n) * width + r];
+        }
+      }
+      const double* in = l == 0 ? x.data().data() : post[l - 1];
+      t->gemm_nn(delta_t, width, rows, in, fan_in, g.dw.data().data());
+      std::fill(g.db.begin(), g.db.end(), 0.0);
+      for (int n = 0; n < rows; ++n) {
+        const double* d = delta + static_cast<size_t>(n) * width;
+        for (int r = 0; r < width; ++r) g.db[r] += d[r];
+      }
+    }
+    if (l == 0 && input_grad == nullptr) break;
+    // delta * W: the deltas of the layer below (or of the input).
+    t->gemm_nn(delta, rows, width, layer.w.data().data(), fan_in,
+               l == 0 ? input_grad : scratch);
+    width = fan_in;
+    std::swap(delta, scratch);
+  }
 }
 
 void Mlp::PredictBatch(const Matrix& x, Vector* out) const {
@@ -142,8 +157,7 @@ void Mlp::InputGradientBatch(const Matrix& x, Matrix* grad,
   kernels::KernelArena& arena = kernels::KernelArena::ThreadLocal();
   kernels::KernelArena::Scope scope(&arena);
   std::vector<const double*> post;
-  ForwardArena(x, &arena, &post);
-  const double* out = post.back();
+  const double* out = ForwardArena(x, &arena, &post);
   if (values != nullptr) {
     values->resize(rows);
     for (int i = 0; i < rows; ++i) {
@@ -151,109 +165,15 @@ void Mlp::InputGradientBatch(const Matrix& x, Matrix* grad,
       UDAO_DCHECK_FINITE((*values)[i]);
     }
   }
-  const int num_layers = static_cast<int>(layers_.size());
-  // Widest delta the backward pass produces (layer_sizes minus the input,
-  // whose deltas land directly in *grad).
-  size_t max_width = 1;
-  for (int l = 1; l < static_cast<int>(config_.layer_sizes.size()); ++l) {
-    max_width = std::max(max_width,
-                         static_cast<size_t>(config_.layer_sizes[l]));
-  }
-  // Seed every row with d(out)/d(out) = 1 and back-propagate all points at
-  // once; gemm_nn's axpy accumulation replicates the per-point
-  // ApplyTranspose exactly (same order, same zero skips). Two arena buffers
-  // ping-pong the deltas; the final product is written straight into *grad.
-  double* delta = arena.Alloc(static_cast<size_t>(rows) * max_width);
-  double* scratch = arena.Alloc(static_cast<size_t>(rows) * max_width);
+  // Seed every row with d(out)/d(out) = 1; the final product is written
+  // straight into *grad.
+  double* delta = arena.Alloc(static_cast<size_t>(rows) * MaxWidth());
   std::fill(delta, delta + rows, 1.0);
-  int width = 1;
   grad->Resize(rows, input_dim());
-  for (int l = num_layers - 1; l >= 0; --l) {
-    if (l != num_layers - 1) {
-      // Elementwise activation-gradient scaling stays plain (non-kernel)
-      // code: it must not be FMA-contracted, or the batched path would drift
-      // from the scalar ActGrad computation within one backend.
-      const double* p = post[l];
-      const size_t count = static_cast<size_t>(rows) * width;
-      if (config_.activation == Activation::kRelu) {
-        // post > 0 iff pre > 0 for relu, so ActGrad needs no pre-activation.
-        for (size_t i = 0; i < count; ++i) delta[i] *= p[i] > 0.0 ? 1.0 : 0.0;
-      } else {
-        for (size_t i = 0; i < count; ++i) delta[i] *= 1.0 - p[i] * p[i];
-      }
-    }
-    const Layer& layer = layers_[l];
-    double* out_buf = l == 0 ? grad->RowPtr(0) : scratch;
-    kernels::GemmNn(delta, rows, width, layer.w.data().data(), layer.w.cols(),
-                    out_buf);
-    width = layer.w.cols();
-    std::swap(delta, scratch);
-  }
+  Backward(x, post, delta, &arena, nullptr, grad->RowPtr(0));
   // A non-finite entry here means the forward pass overflowed; fail loudly
   // before the solver averages NaN gradients into Adam's moments.
   for (const double g : grad->data()) UDAO_DCHECK_FINITE(g);
-}
-
-Vector Mlp::Forward(const Vector& x) const {
-  return ForwardCached(x, nullptr, nullptr, nullptr);
-}
-
-double Mlp::Predict(const Vector& x) const {
-  UDAO_CHECK_EQ(output_dim(), 1);
-  const double y = Forward(x)[0];
-  UDAO_DCHECK_FINITE(y);
-  return y;
-}
-
-Vector Mlp::InputGradient(const Vector& x) const {
-  UDAO_CHECK_EQ(output_dim(), 1);
-  std::vector<Vector> pre;
-  std::vector<Vector> post;
-  ForwardCached(x, &pre, &post, nullptr);
-  const int num_layers = static_cast<int>(layers_.size());
-  // Seed with d(out)/d(out) = 1 and back-propagate to the input.
-  Vector delta(1, 1.0);
-  for (int l = num_layers - 1; l >= 0; --l) {
-    // delta currently holds d(out)/d(post-activation of layer l).
-    if (l != num_layers - 1) {
-      for (size_t i = 0; i < delta.size(); ++i) {
-        delta[i] *= ActGrad(pre[l][i], post[l][i]);
-      }
-    }
-    delta = layers_[l].w.ApplyTranspose(delta);
-  }
-  for (const double g : delta) UDAO_DCHECK_FINITE(g);
-  return delta;
-}
-
-void Mlp::PredictWithUncertainty(const Vector& x, int samples, Rng* rng,
-                                 double* mean, double* stddev) const {
-  UDAO_CHECK_EQ(output_dim(), 1);
-  UDAO_CHECK_GT(samples, 0);
-  const int num_hidden = static_cast<int>(layers_.size()) - 1;
-  const double keep = 1.0 - config_.dropout;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (int s = 0; s < samples; ++s) {
-    std::vector<Vector> masks(layers_.size());
-    for (int l = 0; l < num_hidden; ++l) {
-      masks[l].assign(layers_[l].b.size(), 0.0);
-      for (size_t i = 0; i < masks[l].size(); ++i) {
-        // Inverted dropout keeps the expected activation unchanged.
-        masks[l][i] = rng->Bernoulli(keep) ? 1.0 / keep : 0.0;
-      }
-    }
-    const double y = ForwardCached(x, nullptr, nullptr, &masks)[0];
-    sum += y;
-    sum_sq += y * y;
-  }
-  *mean = sum / samples;
-  const double var =
-      samples > 1 ? std::max(0.0, (sum_sq - sum * sum / samples) / (samples - 1))
-                  : 0.0;
-  *stddev = std::sqrt(var);
-  UDAO_DCHECK_FINITE(*mean);
-  UDAO_DCHECK_FINITE(*stddev);
 }
 
 void Mlp::PredictWithUncertaintyBatch(const Matrix& x, int samples,
@@ -263,8 +183,7 @@ void Mlp::PredictWithUncertaintyBatch(const Matrix& x, int samples,
   UDAO_CHECK_GT(samples, 0);
   UDAO_CHECK_EQ(rngs->size(), static_cast<size_t>(x.rows()));
   const int rows = x.rows();
-  const int num_layers = static_cast<int>(layers_.size());
-  const int num_hidden = num_layers - 1;
+  const int num_hidden = static_cast<int>(layers_.size()) - 1;
   const double keep = 1.0 - config_.dropout;
   Vector sum(rows, 0.0);
   Vector sum_sq(rows, 0.0);
@@ -275,11 +194,9 @@ void Mlp::PredictWithUncertaintyBatch(const Matrix& x, int samples,
   for (int l = 0; l < num_hidden; ++l) {
     masks[l] = arena.Alloc(static_cast<size_t>(rows) * layers_[l].b.size());
   }
-  const kernels::KernelTable* t = kernels::ActiveTable();
   for (int s = 0; s < samples; ++s) {
     // Row r's generator emits this sample's masks layer by layer, unit by
-    // unit -- the exact stream PredictWithUncertainty consumes, which is
-    // what keeps the two entry points bitwise-interchangeable.
+    // unit, so a row's stream never depends on the other rows.
     for (int r = 0; r < rows; ++r) {
       Rng& rng = (*rngs)[r];
       for (int l = 0; l < num_hidden; ++l) {
@@ -292,34 +209,10 @@ void Mlp::PredictWithUncertaintyBatch(const Matrix& x, int samples,
       }
     }
     kernels::KernelArena::Scope pass(&arena);
-    const double* cur = x.data().data();
-    for (int l = 0; l < num_layers; ++l) {
-      const Layer& layer = layers_[l];
-      const int fan_out = layer.w.rows();
-      double* out = arena.Alloc(static_cast<size_t>(rows) * fan_out);
-      const bool is_output = (l == num_layers - 1);
-      const bool fuse_relu =
-          !is_output && config_.activation == Activation::kRelu;
-      t->layer_forward(cur, rows, layer.w.cols(), layer.w.data().data(),
-                       layer.b.data(), fan_out,
-                       fuse_relu ? kernels::Fused::kBiasRelu
-                                 : kernels::Fused::kBias,
-                       out);
-      if (!is_output) {
-        const size_t count = static_cast<size_t>(rows) * fan_out;
-        if (config_.activation == Activation::kTanh) {
-          for (size_t i = 0; i < count; ++i) out[i] = std::tanh(out[i]);
-        }
-        // Mask after activation, as ForwardCached does.
-        const double* m = masks[l];
-        for (size_t i = 0; i < count; ++i) out[i] *= m[i];
-      }
-      cur = out;
-    }
+    const double* y = ForwardArena(x, &arena, nullptr, &masks);
     for (int r = 0; r < rows; ++r) {
-      const double y = cur[r];
-      sum[r] += y;
-      sum_sq[r] += y * y;
+      sum[r] += y[r];
+      sum_sq[r] += y[r] * y[r];
     }
   }
   mean->resize(rows);
@@ -350,62 +243,27 @@ std::vector<Mlp::LayerGrad> Mlp::ZeroGrads() const {
 double Mlp::ForwardBackward(const Matrix& x, const Vector& y,
                             std::vector<Mlp::LayerGrad>* grads) const {
   UDAO_CHECK_EQ(output_dim(), 1);
-  Matrix ym(static_cast<int>(y.size()), 1);
-  for (size_t i = 0; i < y.size(); ++i) ym(static_cast<int>(i), 0) = y[i];
-  return ForwardBackwardMulti(x, ym, grads);
-}
-
-Vector Mlp::LayerActivations(const Vector& x, int layer) const {
-  UDAO_CHECK(layer >= 0 && layer < static_cast<int>(layers_.size()));
-  std::vector<Vector> pre;
-  std::vector<Vector> post;
-  ForwardCached(x, &pre, &post, nullptr);
-  return post[layer];
-}
-
-double Mlp::ForwardBackwardMulti(const Matrix& x, const Matrix& y,
-                                 std::vector<Mlp::LayerGrad>* grads) const {
-  UDAO_CHECK_EQ(y.cols(), output_dim());
-  UDAO_CHECK_EQ(x.rows(), y.rows());
-  UDAO_CHECK_EQ(x.cols(), input_dim());
+  UDAO_CHECK_EQ(x.rows(), static_cast<int>(y.size()));
   UDAO_CHECK_EQ(grads->size(), layers_.size());
   const int batch = x.rows();
   UDAO_CHECK_GT(batch, 0);
-  const int num_layers = static_cast<int>(layers_.size());
+  kernels::KernelArena& arena = kernels::KernelArena::ThreadLocal();
+  kernels::KernelArena::Scope scope(&arena);
+  std::vector<const double*> post;
+  const double* out = ForwardArena(x, &arena, &post);
+  // Seed each row with d(batch-mean squared error)/d(out).
+  double* delta = arena.Alloc(static_cast<size_t>(batch) * MaxWidth());
   double loss = 0.0;
   for (int n = 0; n < batch; ++n) {
-    std::vector<Vector> pre;
-    std::vector<Vector> post;
-    const Vector input = x.Row(n);
-    const Vector out = ForwardCached(input, &pre, &post, nullptr);
-    Vector delta(out.size());
-    for (size_t o = 0; o < out.size(); ++o) {
-      const double err = out[o] - y(n, static_cast<int>(o));
-      loss += err * err / static_cast<double>(out.size());
-      // d(per-sample MSE)/d(out); the 2/batch factor folds the batch mean.
-      delta[o] = 2.0 * err / (batch * static_cast<double>(out.size()));
-    }
-    for (int l = num_layers - 1; l >= 0; --l) {
-      if (l != num_layers - 1) {
-        for (size_t i = 0; i < delta.size(); ++i) {
-          delta[i] *= ActGrad(pre[l][i], post[l][i]);
-        }
-      }
-      const Vector& in = (l == 0) ? input : post[l - 1];
-      LayerGrad& g = (*grads)[l];
-      for (int r = 0; r < g.dw.rows(); ++r) {
-        const double d = delta[r];
-        if (d == 0.0) continue;
-        kernels::Axpy(g.dw.RowPtr(r), in.data(), d, g.dw.cols());
-        g.db[r] += d;
-      }
-      delta = layers_[l].w.ApplyTranspose(delta);
-    }
+    const double err = out[n] - y[n];
+    loss += err * err;
+    delta[n] = 2.0 * err / batch;
   }
   loss /= batch;
+  Backward(x, post, delta, &arena, grads, nullptr);
   // L2 regularization on weights (not biases).
   if (config_.l2 > 0.0) {
-    for (int l = 0; l < num_layers; ++l) {
+    for (size_t l = 0; l < layers_.size(); ++l) {
       const Matrix& w = layers_[l].w;
       Matrix& dw = (*grads)[l].dw;
       for (size_t i = 0; i < w.data().size(); ++i) {

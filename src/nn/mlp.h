@@ -30,10 +30,15 @@ struct MlpConfig {
 
 /// A feed-forward multi-layer perceptron with manual forward/backward passes.
 ///
-/// The backward pass produces gradients with respect to the *weights* (used by
-/// the trainer in train.h) and with respect to the *input* (used by the MOGD
-/// solver, which descends on the configuration x while weights stay frozen).
-/// Uncertainty estimates come from Monte-Carlo dropout.
+/// Every pass is batched: rows of an input matrix are points, and each
+/// layer runs as one dispatched kernel over all of them (nn/kernels.h). One
+/// forward (ForwardArena) serves inference, MC-dropout and training; one
+/// backward (Backward, gemm_nn per layer) produces gradients with respect to
+/// the *weights* (used by the trainer in train.h) and with respect to the
+/// *input* (used by the MOGD solver, which descends on the configuration x
+/// while weights stay frozen). Inference on a row never depends on the
+/// other rows of its batch. Activation and gradient temporaries live on the
+/// thread-local KernelArena.
 class Mlp {
  public:
   /// One dense layer: out = act(w * in + b); w has shape [fan_out, fan_in].
@@ -50,69 +55,37 @@ class Mlp {
 
   Mlp(MlpConfig config, Rng* rng);
 
-  /// Deterministic forward pass (no dropout). `x` must match the input width;
-  /// returns the output vector (usually 1-dimensional for regression).
-  Vector Forward(const Vector& x) const;
-
-  /// Scalar convenience wrapper for 1-output networks.
-  double Predict(const Vector& x) const;
-
-  /// Gradient of the scalar output with respect to the input, evaluated at x.
-  /// ReLU is subdifferentiable; we use the subgradient 0 at the kink, which is
-  /// exactly what the paper's MOGD solver requires.
-  Vector InputGradient(const Vector& x) const;
-
-  /// Batched deterministic forward: rows of `x` are inputs, rows of the
-  /// result are outputs. One fused layer kernel per layer (dispatched GEMM +
-  /// bias + ReLU, see nn/kernels.h) instead of a matrix-vector product per
-  /// point -- the kernel behind ObjectiveModel::PredictBatch. Activation and
-  /// gradient temporaries live on the thread-local KernelArena, so steady-
-  /// state batched calls perform no heap allocation.
-  Matrix ForwardBatch(const Matrix& x) const;
-
-  /// Batched scalar prediction for 1-output networks.
+  /// Deterministic prediction (no dropout) of a 1-output network for every
+  /// row of `x`.
   void PredictBatch(const Matrix& x, Vector* out) const;
 
-  /// Batched input gradients: row i of `*grad` becomes InputGradient of row
-  /// i of `x` (grad is Resize()d in place, so a caller-held matrix is reused
-  /// across solver iterations without reallocating). When `values` is
-  /// non-null it receives the predictions from the same forward pass, so the
-  /// MOGD hot path pays for one forward per Adam iteration instead of two.
+  /// Gradient of the scalar output with respect to the input: row i of
+  /// `*grad` is the gradient at row i of `x` (grad is Resize()d in place, so
+  /// a caller-held matrix is reused across solver iterations without
+  /// reallocating). ReLU is subdifferentiable; we use the subgradient 0 at
+  /// the kink, which is exactly what the paper's MOGD solver requires. When
+  /// `values` is non-null it receives the predictions from the same forward
+  /// pass, so the MOGD hot path pays for one forward per Adam iteration
+  /// instead of two.
   void InputGradientBatch(const Matrix& x, Matrix* grad,
                           Vector* values = nullptr) const;
 
-  /// MC-dropout estimate: runs `samples` stochastic forward passes and
-  /// reports mean and standard deviation of the scalar output.
-  void PredictWithUncertainty(const Vector& x, int samples, Rng* rng,
-                              double* mean, double* stddev) const;
-
-  /// Batched MC-dropout: row r of mean/stddev reproduces
-  /// PredictWithUncertainty(x.Row(r), samples, &(*rngs)[r], ...) bitwise
-  /// within a kernel backend. Each row's masks are drawn from its own Rng in
-  /// the scalar path's (sample, layer, unit) order, and each stochastic pass
-  /// runs as one fused layer kernel per layer over all rows -- so ranking a
-  /// frontier under uncertainty costs `samples` batched forwards instead of
-  /// rows x samples scalar ones. `rngs` must hold one generator per row and
-  /// is advanced exactly as the scalar calls would advance it.
+  /// MC-dropout: runs `samples` stochastic forward passes and reports, per
+  /// row, the mean and standard deviation of the scalar output. Row r's
+  /// dropout masks are drawn from (*rngs)[r] in (sample, layer, unit) order,
+  /// so a row's estimate depends only on its point and its generator; each
+  /// stochastic pass runs as one fused layer kernel per layer over all rows.
+  /// `rngs` must hold one generator per row.
   void PredictWithUncertaintyBatch(const Matrix& x, int samples,
                                    std::vector<Rng>* rngs, Vector* mean,
                                    Vector* stddev) const;
 
-  /// Mini-batch forward+backward: accumulates into `grads` (pre-sized via
-  /// ZeroGrads) the gradient of the mean-squared-error over the batch (plus L2
-  /// on the weights), and returns that loss. Rows of `x` are inputs, `y` holds
+  /// Mini-batch forward+backward: writes into `grads` (shaped by ZeroGrads)
+  /// the gradient of the mean-squared-error over the batch (plus L2 on the
+  /// weights), and returns that loss. Rows of `x` are inputs, `y` holds
   /// scalar targets.
   double ForwardBackward(const Matrix& x, const Vector& y,
                          std::vector<LayerGrad>* grads) const;
-
-  /// Multi-output variant: rows of `y` are target vectors matching the
-  /// network's output width (used to train autoencoders).
-  double ForwardBackwardMulti(const Matrix& x, const Matrix& y,
-                              std::vector<LayerGrad>* grads) const;
-
-  /// Post-activation output of hidden layer `layer` (0-based); used to read
-  /// an autoencoder's bottleneck encoding.
-  Vector LayerActivations(const Vector& x, int layer) const;
 
   /// Allocates a zeroed gradient structure matching this network's layers.
   std::vector<LayerGrad> ZeroGrads() const;
@@ -129,19 +102,27 @@ class Mlp {
   int output_dim() const { return config_.layer_sizes.back(); }
 
  private:
-  double Act(double v) const;
-  double ActGrad(double pre, double post) const;
-  // Forward pass caching pre-activations; optionally applies dropout masks.
-  Vector ForwardCached(const Vector& x, std::vector<Vector>* pre,
-                       std::vector<Vector>* post,
-                       const std::vector<Vector>* dropout_masks) const;
   // Batched forward over arena-owned buffers. Returns the final layer's
   // output buffer [x.rows() x output_dim]; when `post` is non-null it
   // receives each layer's post-activation buffer (the backward pass needs
   // only post-activations: relu's gradient is post > 0, tanh's 1 - post^2).
-  // Buffers live until the caller's KernelArena::Scope unwinds.
+  // When `masks` is non-null, (*masks)[l] ([x.rows() x fan_out]) multiplies
+  // hidden layer l's post-activations (MC-dropout). Buffers live until the
+  // caller's KernelArena::Scope unwinds.
   const double* ForwardArena(const Matrix& x, kernels::KernelArena* arena,
-                             std::vector<const double*>* post) const;
+                             std::vector<const double*>* post,
+                             const std::vector<double*>* masks = nullptr) const;
+  // Back-propagates `delta` (d loss / d output, one entry per row, in an
+  // arena buffer of x.rows() * MaxWidth() doubles that the pass overwrites)
+  // through a ForwardArena pass over `x` whose post-activations are `post`.
+  // Writes each layer's weight and bias gradient into `grads` when non-null,
+  // and d output / d input ([x.rows() x input_dim]) into `input_grad` when
+  // non-null.
+  void Backward(const Matrix& x, const std::vector<const double*>& post,
+                double* delta, kernels::KernelArena* arena,
+                std::vector<LayerGrad>* grads, double* input_grad) const;
+  // Widest layer output (the input width excluded).
+  size_t MaxWidth() const;
 
   MlpConfig config_;
   std::vector<Layer> layers_;

@@ -12,14 +12,6 @@ namespace udao {
 TrainResult TrainMlp(Mlp* mlp, const Matrix& x, const Vector& y,
                      const TrainConfig& config, Rng* rng) {
   UDAO_CHECK_EQ(x.rows(), static_cast<int>(y.size()));
-  Matrix ym(static_cast<int>(y.size()), 1);
-  for (size_t i = 0; i < y.size(); ++i) ym(static_cast<int>(i), 0) = y[i];
-  return TrainMlpMulti(mlp, x, ym, config, rng);
-}
-
-TrainResult TrainMlpMulti(Mlp* mlp, const Matrix& x, const Matrix& y,
-                          const TrainConfig& config, Rng* rng) {
-  UDAO_CHECK_EQ(x.rows(), y.rows());
   UDAO_CHECK_GT(x.rows(), 0);
   const int n = x.rows();
   const int batch_size = std::min(config.batch_size, n);
@@ -35,6 +27,9 @@ TrainResult TrainMlpMulti(Mlp* mlp, const Matrix& x, const Matrix& y,
   result.best_loss = std::numeric_limits<double>::infinity();
   Vector best_snapshot = params;
   int since_best = 0;
+  // ForwardBackward overwrites every entry, so one allocation serves all
+  // mini-batches.
+  std::vector<Mlp::LayerGrad> grads = mlp->ZeroGrads();
 
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     rng->Shuffle(&order);
@@ -43,14 +38,13 @@ TrainResult TrainMlpMulti(Mlp* mlp, const Matrix& x, const Matrix& y,
     for (int start = 0; start < n; start += batch_size) {
       const int end = std::min(start + batch_size, n);
       Matrix bx(end - start, x.cols());
-      Matrix by(end - start, y.cols());
+      Vector by(end - start);
       for (int i = start; i < end; ++i) {
         const int src = order[i];
         for (int c = 0; c < x.cols(); ++c) bx(i - start, c) = x(src, c);
-        for (int c = 0; c < y.cols(); ++c) by(i - start, c) = y(src, c);
+        by[i - start] = y[src];
       }
-      std::vector<Mlp::LayerGrad> grads = mlp->ZeroGrads();
-      epoch_loss += mlp->ForwardBackwardMulti(bx, by, &grads);
+      epoch_loss += mlp->ForwardBackward(bx, by, &grads);
       ++num_batches;
       // Flatten gradients in the same order as Snapshot().
       Vector flat;

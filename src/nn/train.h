@@ -34,11 +34,6 @@ struct TrainResult {
 TrainResult TrainMlp(Mlp* mlp, const Matrix& x, const Vector& y,
                      const TrainConfig& config, Rng* rng);
 
-/// Multi-output variant: rows of `y` are target vectors (autoencoders,
-/// multi-head regressors).
-TrainResult TrainMlpMulti(Mlp* mlp, const Matrix& x, const Matrix& y,
-                          const TrainConfig& config, Rng* rng);
-
 }  // namespace udao
 
 #endif  // UDAO_NN_TRAIN_H_

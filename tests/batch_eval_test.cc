@@ -147,8 +147,8 @@ TEST(BatchEvalTest, AnalyticModelsMatchScalar) {
 }
 
 TEST(BatchEvalTest, CallableModelDefaultLoopMatchesScalar) {
-  // No WithBatch installed: exercises the ObjectiveModel base-class
-  // fallbacks (scalar loop) end to end.
+  // A per-point lambda only: exercises the row-by-row lift of the value and
+  // the finite-difference gradient end to end.
   CallableModel model("quad", 3, [](const Vector& x) {
     return x[0] * x[0] + 2.0 * x[1] + x[2];
   });
@@ -160,24 +160,6 @@ TEST(BatchEvalTest, WrapperModelsMatchScalar) {
   ExpectBatchMatchesScalar(NonNegativeModel(mlp), RandomPoints(9, 3, 51));
   auto gp = FitTinyGp(3, false);
   ExpectBatchMatchesScalar(NonNegativeModel(gp), RandomPoints(9, 3, 52));
-  // UncertaintyAdjustedModel has no GradientBatch override of its own; its
-  // value surface must still match per-point exactly.
-  UncertaintyAdjustedModel adjusted(gp, /*alpha=*/1.5);
-  const Matrix pts = RandomPoints(9, 3, 53);
-  Vector batch;
-  adjusted.PredictBatch(pts, &batch);
-  Vector mean_b;
-  Vector std_b;
-  adjusted.PredictWithUncertaintyBatch(pts, &mean_b, &std_b);
-  for (int i = 0; i < pts.rows(); ++i) {
-    const Vector xi = Row(pts, i);
-    EXPECT_EQ(batch[i], adjusted.Predict(xi));
-    double mean = 0.0;
-    double stddev = 0.0;
-    adjusted.PredictWithUncertainty(xi, &mean, &stddev);
-    EXPECT_EQ(mean_b[i], mean);
-    EXPECT_EQ(std_b[i], stddev);
-  }
 }
 
 // A DNN-backed bi-objective problem over UnitSpace2, exercising the GEMM

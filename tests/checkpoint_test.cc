@@ -121,6 +121,38 @@ TEST_F(CheckpointTest, DeserializeRejectsTruncatedStream) {
   EXPECT_FALSE(MlpModel::Deserialize(cut).ok());
 }
 
+// Checkpoints are outside input: a malformed header must come back as an
+// InvalidArgument Status, never abort the process or load a wrong network.
+// Each text below is a 1-1-1 network (4 parameters) with one header field
+// broken.
+StatusCode DeserializeCode(const std::string& text) {
+  std::istringstream in(text);
+  StatusOr<std::shared_ptr<MlpModel>> loaded = MlpModel::Deserialize(in);
+  return loaded.ok() ? StatusCode::kOk : loaded.status().code();
+}
+
+TEST_F(CheckpointTest, DeserializeRejectsZeroWidthLayer) {
+  EXPECT_EQ(DeserializeCode("udao-mlp-v1\n3 1 0 1\n0 0 0.1 32 0\n0 1\n"
+                            "1\n0.5\n"),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(CheckpointTest, DeserializeRejectsUnknownActivation) {
+  // Code 7 is neither kRelu (0) nor kTanh (1).
+  EXPECT_EQ(DeserializeCode("udao-mlp-v1\n3 1 1 1\n7 0 0.1 32 0\n0 1\n"
+                            "4\n1 0 -1 0\n"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DeserializeCode("udao-mlp-v1\n3 1 1 1\n0 0 0.1 32 0\n0 1\n"
+                            "4\n1 0 -1 0\n"),
+            StatusCode::kOk);
+}
+
+TEST_F(CheckpointTest, DeserializeRejectsWeightCountMismatch) {
+  EXPECT_EQ(DeserializeCode("udao-mlp-v1\n3 1 1 1\n0 0 0.1 32 0\n0 1\n"
+                            "5\n1 0 -1 0 2\n"),
+            StatusCode::kInvalidArgument);
+}
+
 TEST_F(CheckpointTest, ModelServerDataRoundTrips) {
   ModelServer original;
   Rng rng(5);

@@ -65,6 +65,8 @@ TEST(UdaoLintTest, BadFixturesReportExactFindings) {
       "raw_random.cc:6:raw-random",
       "raw_sync.cc:6:raw-sync",
       "raw_thread.cc:6:raw-thread",
+      "scalar_model_override.cc:9:scalar-model-override",
+      "scalar_model_override.cc:13:scalar-model-override",
       "serving/deprecated_optimize.cc:9:deprecated-optimize",
       "serving/deprecated_optimize.cc:10:deprecated-optimize",
       "serving/unbounded_wait.cc:8:unbounded-wait",

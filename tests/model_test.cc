@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/random.h"
@@ -30,35 +31,28 @@ TEST(CallableModelTest, ExplicitGradientIsUsed) {
   EXPECT_DOUBLE_EQ(m.InputGradient({0.0})[0], 42.0);
 }
 
-// ------------------------------------------- UncertaintyAdjustedModel
-
+// Mean x[0], stddev 2 * x[0]: a model with a native uncertainty notion.
 class FakeUncertainModel : public ObjectiveModel {
  public:
-  double Predict(const Vector& x) const override { return x[0]; }
-  void PredictWithUncertainty(const Vector& x, double* mean,
-                              double* stddev) const override {
-    *mean = x[0];
-    *stddev = 2.0 * x[0];  // stddev grows with x
+  void PredictBatch(const Matrix& x, Vector* out) const override {
+    out->resize(x.rows());
+    for (int i = 0; i < x.rows(); ++i) (*out)[i] = x(i, 0);
   }
-  Vector InputGradient(const Vector& x) const override { return {1.0}; }
+  void PredictWithUncertaintyBatch(const Matrix& x, Vector* mean,
+                                   Vector* stddev) const override {
+    PredictBatch(x, mean);
+    stddev->resize(x.rows());
+    for (int i = 0; i < x.rows(); ++i) (*stddev)[i] = 2.0 * x(i, 0);
+  }
+  void GradientBatch(const Matrix& x, Matrix* grads,
+                     Vector* values) const override {
+    grads->Resize(x.rows(), 1);
+    std::fill(grads->data().begin(), grads->data().end(), 1.0);
+    if (values != nullptr) PredictBatch(x, values);
+  }
   int input_dim() const override { return 1; }
   std::string Name() const override { return "fake"; }
 };
-
-TEST(UncertaintyAdjustedModelTest, AddsAlphaTimesStd) {
-  auto base = std::make_shared<FakeUncertainModel>();
-  UncertaintyAdjustedModel adj(base, 0.5);
-  EXPECT_DOUBLE_EQ(adj.Predict({1.0}), 1.0 + 0.5 * 2.0);
-  // Gradient: d/dx (x + 0.5*2x) = 2.
-  EXPECT_NEAR(adj.InputGradient({1.0})[0], 2.0, 1e-4);
-}
-
-TEST(UncertaintyAdjustedModelTest, AlphaZeroIsIdentity) {
-  auto base = std::make_shared<FakeUncertainModel>();
-  UncertaintyAdjustedModel adj(base, 0.0);
-  EXPECT_DOUBLE_EQ(adj.Predict({1.5}), 1.5);
-  EXPECT_DOUBLE_EQ(adj.InputGradient({1.5})[0], 1.0);
-}
 
 // ------------------------------------------------------------ MlpModel
 

@@ -118,14 +118,23 @@ TEST(MogdTest, UncertaintyAlphaMakesValuesConservative) {
   // A model with constant stddev 0.2.
   class Noisy : public ObjectiveModel {
    public:
-    double Predict(const Vector& x) const override { return x[0]; }
-    void PredictWithUncertainty(const Vector& x, double* mean,
-                                double* stddev) const override {
-      *mean = x[0];
-      *stddev = 0.2;
+    void PredictBatch(const Matrix& x, Vector* out) const override {
+      out->resize(x.rows());
+      for (int i = 0; i < x.rows(); ++i) (*out)[i] = x(i, 0);
     }
-    Vector InputGradient(const Vector& x) const override {
-      return {1.0, 0.0};
+    void PredictWithUncertaintyBatch(const Matrix& x, Vector* mean,
+                                     Vector* stddev) const override {
+      PredictBatch(x, mean);
+      stddev->assign(x.rows(), 0.2);
+    }
+    void GradientBatch(const Matrix& x, Matrix* grads,
+                       Vector* values) const override {
+      grads->Resize(x.rows(), 2);
+      for (int i = 0; i < x.rows(); ++i) {
+        (*grads)(i, 0) = 1.0;
+        (*grads)(i, 1) = 0.0;
+      }
+      if (values != nullptr) PredictBatch(x, values);
     }
     int input_dim() const override { return 2; }
     std::string Name() const override { return "noisy"; }

@@ -1,15 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/matrix.h"
 #include "common/random.h"
+#include "mlp_reference.h"
 #include "nn/adam.h"
 #include "nn/mlp.h"
 #include "nn/train.h"
 
 namespace udao {
 namespace {
+
+using testing_reference::ReferenceForwardBackward;
+using testing_reference::ReferenceInputGradient;
+using testing_reference::ReferencePredictWithUncertainty;
 
 MlpConfig SmallConfig(Activation act = Activation::kTanh) {
   MlpConfig cfg;
@@ -19,16 +26,44 @@ MlpConfig SmallConfig(Activation act = Activation::kTanh) {
   return cfg;
 }
 
+Matrix OneRow(const Vector& x) { return Matrix::FromRows({x}); }
+
+double Predict(const Mlp& mlp, const Vector& x) {
+  Vector out;
+  mlp.PredictBatch(OneRow(x), &out);
+  return out[0];
+}
+
+Vector InputGradient(const Mlp& mlp, const Vector& x) {
+  Matrix grad;
+  mlp.InputGradientBatch(OneRow(x), &grad);
+  return grad.Row(0);
+}
+
+void PredictWithUncertainty(const Mlp& mlp, const Vector& x, int samples,
+                            Rng* rng, double* mean, double* stddev) {
+  std::vector<Rng> rngs = {*rng};
+  Vector means;
+  Vector stddevs;
+  mlp.PredictWithUncertaintyBatch(OneRow(x), samples, &rngs, &means,
+                                  &stddevs);
+  *rng = rngs[0];
+  *mean = means[0];
+  *stddev = stddevs[0];
+}
+
 // ---------------------------------------------------------------- Mlp
 
 TEST(MlpTest, ForwardShapeAndDeterminism) {
   Rng rng(1);
   Mlp mlp(SmallConfig(), &rng);
-  Vector x = {0.1, 0.5, 0.9};
-  Vector y1 = mlp.Forward(x);
-  Vector y2 = mlp.Forward(x);
-  ASSERT_EQ(y1.size(), 1u);
-  EXPECT_DOUBLE_EQ(y1[0], y2[0]);
+  Matrix x = Matrix::FromRows({{0.1, 0.5, 0.9}, {0.3, 0.2, 0.7}});
+  Vector y1;
+  Vector y2;
+  mlp.PredictBatch(x, &y1);
+  mlp.PredictBatch(x, &y2);
+  ASSERT_EQ(y1.size(), 2u);
+  EXPECT_EQ(y1, y2);
 }
 
 TEST(MlpTest, SnapshotRestoreRoundTrips) {
@@ -36,9 +71,95 @@ TEST(MlpTest, SnapshotRestoreRoundTrips) {
   Mlp a(SmallConfig(), &rng);
   Mlp b(SmallConfig(), &rng);
   Vector x = {0.2, 0.4, 0.6};
-  EXPECT_NE(a.Predict(x), b.Predict(x));
+  EXPECT_NE(Predict(a, x), Predict(b, x));
   b.Restore(a.Snapshot());
-  EXPECT_DOUBLE_EQ(a.Predict(x), b.Predict(x));
+  EXPECT_DOUBLE_EQ(Predict(a, x), Predict(b, x));
+}
+
+// Number of doubles whose bit patterns differ between `a` and `b`.
+int DifferingBits(const Vector& a, const Vector& b) {
+  EXPECT_EQ(a.size(), b.size());
+  int differing = 0;
+  for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i])) {
+      ++differing;
+    }
+  }
+  return differing;
+}
+
+// The batched passes reproduce the per-sample loops of mlp_reference.h bit
+// for bit in the active kernel backend: training's loss and every weight
+// and bias gradient, input gradients, and MC-dropout mean and stddev. Both
+// activations; 12- and 128-wide inputs (the latter takes the unrolled
+// 128-wide dot in the first layer, the 128-wide hidden layer in all).
+TEST(MlpTest, BatchedPassesMatchPerSampleReferenceBitwise) {
+  for (const Activation act : {Activation::kRelu, Activation::kTanh}) {
+    for (const int width : {12, 128}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (act == Activation::kRelu ? "relu" : "tanh") << " "
+                   << width << "-wide input");
+      MlpConfig cfg;
+      cfg.layer_sizes = {width, 128, 64, 1};
+      cfg.activation = act;
+      cfg.l2 = 1e-3;
+      cfg.dropout = 0.2;
+      Rng rng(31 + width);
+      Mlp mlp(cfg, &rng);
+      for (Mlp::Layer& layer : mlp.layers()) {
+        for (double& b : layer.b) b = rng.Gaussian(0.0, 0.3);
+      }
+      const int rows = 32;
+      Matrix x(rows, width);
+      Vector y(rows);
+      for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < width; ++c) x(r, c) = rng.Uniform();
+        y[r] = rng.Gaussian(0.0, 1.0);
+      }
+
+      std::vector<Mlp::LayerGrad> ref_grads = mlp.ZeroGrads();
+      const double ref_loss = ReferenceForwardBackward(mlp, x, y, &ref_grads);
+      std::vector<Mlp::LayerGrad> grads = mlp.ZeroGrads();
+      const double loss = mlp.ForwardBackward(x, y, &grads);
+      int differing = DifferingBits({loss}, {ref_loss});
+      for (size_t l = 0; l < grads.size(); ++l) {
+        differing += DifferingBits(grads[l].dw.data(), ref_grads[l].dw.data());
+        differing += DifferingBits(grads[l].db, ref_grads[l].db);
+      }
+      EXPECT_EQ(differing, 0) << "training loss and weight/bias gradients";
+
+      Matrix input_grads;
+      mlp.InputGradientBatch(x, &input_grads);
+      differing = 0;
+      for (int r = 0; r < rows; ++r) {
+        differing += DifferingBits(input_grads.Row(r),
+                                   ReferenceInputGradient(mlp, x.Row(r)));
+      }
+      EXPECT_EQ(differing, 0) << "input gradients";
+
+      const int mc_rows = 5;
+      const int samples = 16;
+      Matrix mc_x(mc_rows, width);
+      std::copy(x.data().begin(), x.data().begin() + mc_rows * width,
+                mc_x.data().begin());
+      std::vector<Rng> rngs;
+      for (int r = 0; r < mc_rows; ++r) rngs.emplace_back(100 + r);
+      Vector mean;
+      Vector stddev;
+      mlp.PredictWithUncertaintyBatch(mc_x, samples, &rngs, &mean, &stddev);
+      Vector ref_mean(mc_rows);
+      Vector ref_stddev(mc_rows);
+      for (int r = 0; r < mc_rows; ++r) {
+        Rng mc(100 + r);
+        ReferencePredictWithUncertainty(mlp, mc_x.Row(r), samples, &mc,
+                                        &ref_mean[r], &ref_stddev[r]);
+      }
+      EXPECT_EQ(DifferingBits(mean, ref_mean) +
+                    DifferingBits(stddev, ref_stddev),
+                0)
+          << "MC-dropout mean and stddev";
+    }
+  }
 }
 
 // Central finite differences validate the analytic input gradient for both
@@ -53,14 +174,14 @@ TEST_P(InputGradientProperty, MatchesFiniteDifferences) {
   const double h = 1e-6;
   for (int trial = 0; trial < 10; ++trial) {
     Vector x = {rng.Uniform(), rng.Uniform(), rng.Uniform()};
-    Vector grad = mlp.InputGradient(x);
+    Vector grad = InputGradient(mlp, x);
     ASSERT_EQ(grad.size(), x.size());
     for (size_t d = 0; d < x.size(); ++d) {
       Vector xp = x;
       Vector xm = x;
       xp[d] += h;
       xm[d] -= h;
-      const double fd = (mlp.Predict(xp) - mlp.Predict(xm)) / (2 * h);
+      const double fd = (Predict(mlp, xp) - Predict(mlp, xm)) / (2 * h);
       EXPECT_NEAR(grad[d], fd, 1e-4) << "dim " << d << " trial " << trial;
     }
   }
@@ -90,9 +211,11 @@ TEST(MlpTest, WeightGradientsMatchFiniteDifferences) {
   auto loss_at = [&](const Vector& params) {
     Mlp probe(SmallConfig(Activation::kTanh), &rng);
     probe.Restore(params);
+    Vector out;
+    probe.PredictBatch(x, &out);
     double loss = 0.0;
     for (int n = 0; n < x.rows(); ++n) {
-      const double err = probe.Predict(x.Row(n)) - y[n];
+      const double err = out[n] - y[n];
       loss += err * err;
     }
     return loss / x.rows();
@@ -137,16 +260,16 @@ TEST(MlpTest, DropoutUncertaintyIsNonNegativeAndMeanReasonable) {
   double mean = 0.0;
   double stddev = -1.0;
   Rng mc(99);
-  mlp.PredictWithUncertainty(x, 200, &mc, &mean, &stddev);
+  PredictWithUncertainty(mlp, x, 200, &mc, &mean, &stddev);
   EXPECT_GE(stddev, 0.0);
   // MC-dropout mean should be in the ballpark of the deterministic output.
-  EXPECT_NEAR(mean, mlp.Predict(x), 5.0 * (stddev + 0.05));
+  EXPECT_NEAR(mean, Predict(mlp, x), 5.0 * (stddev + 0.05));
 }
 
-// The batched MC-dropout surface must be bitwise-interchangeable with the
-// scalar one per row (same per-row Rng stream, same fused kernels): the
-// recommendation re-ranker switched to the batch entry point on exactly
-// this contract, for both activations.
+// A row's MC-dropout estimate depends only on its point and its generator,
+// not on the rows batched with it, so a batch equals 1-row calls bitwise:
+// the recommendation re-ranker batches a whole frontier on exactly this
+// contract, for both activations.
 TEST(MlpTest, BatchedUncertaintyMatchesScalarBitwise) {
   for (const Activation act : {Activation::kRelu, Activation::kTanh}) {
     Rng rng(7);
@@ -171,7 +294,7 @@ TEST(MlpTest, BatchedUncertaintyMatchesScalarBitwise) {
       Rng mc(100 + r);
       double m = 0.0;
       double s = 0.0;
-      mlp.PredictWithUncertainty(x.Row(r), samples, &mc, &m, &s);
+      PredictWithUncertainty(mlp, x.Row(r), samples, &mc, &m, &s);
       EXPECT_EQ(mean[r], m) << "row " << r;
       EXPECT_EQ(stddev[r], s) << "row " << r;
     }
@@ -186,94 +309,9 @@ TEST(MlpTest, ZeroDropoutGivesZeroUncertainty) {
   double mean = 0.0;
   double stddev = -1.0;
   Rng mc(1);
-  mlp.PredictWithUncertainty({0.1, 0.2, 0.3}, 32, &mc, &mean, &stddev);
+  PredictWithUncertainty(mlp, {0.1, 0.2, 0.3}, 32, &mc, &mean, &stddev);
   EXPECT_DOUBLE_EQ(stddev, 0.0);
-  EXPECT_DOUBLE_EQ(mean, mlp.Predict({0.1, 0.2, 0.3}));
-}
-
-TEST(MlpTest, MultiOutputTrainingLearnsVectorTargets) {
-  Rng rng(20);
-  MlpConfig cfg;
-  cfg.layer_sizes = {2, 16, 2};
-  cfg.activation = Activation::kTanh;
-  cfg.l2 = 0.0;
-  Mlp mlp(cfg, &rng);
-  const int n = 120;
-  Matrix x(n, 2);
-  Matrix y(n, 2);
-  for (int i = 0; i < n; ++i) {
-    x(i, 0) = rng.Uniform();
-    x(i, 1) = rng.Uniform();
-    y(i, 0) = 0.7 * x(i, 0) - 0.2 * x(i, 1);
-    y(i, 1) = 0.3 * x(i, 1) + 0.1;
-  }
-  TrainConfig tc;
-  tc.epochs = 300;
-  tc.learning_rate = 5e-3;
-  TrainResult result = TrainMlpMulti(&mlp, x, y, tc, &rng);
-  EXPECT_LT(result.best_loss, 5e-3);
-  Vector out = mlp.Forward({0.5, 0.5});
-  EXPECT_NEAR(out[0], 0.7 * 0.5 - 0.2 * 0.5, 0.08);
-  EXPECT_NEAR(out[1], 0.3 * 0.5 + 0.1, 0.08);
-}
-
-TEST(MlpTest, LayerActivationsMatchManualForward) {
-  Rng rng(21);
-  MlpConfig cfg;
-  cfg.layer_sizes = {2, 3, 1};
-  cfg.activation = Activation::kTanh;
-  Mlp mlp(cfg, &rng);
-  Vector x = {0.2, 0.8};
-  const Vector hidden = mlp.LayerActivations(x, 0);
-  ASSERT_EQ(hidden.size(), 3u);
-  // Recompute layer 0 by hand from the weights.
-  const Mlp::Layer& layer = mlp.layers()[0];
-  for (int i = 0; i < 3; ++i) {
-    double z = layer.b[i];
-    for (int c = 0; c < 2; ++c) z += layer.w(i, c) * x[c];
-    EXPECT_NEAR(hidden[i], std::tanh(z), 1e-12);
-  }
-  // The last layer's activation is the network output itself.
-  EXPECT_DOUBLE_EQ(mlp.LayerActivations(x, 1)[0], mlp.Predict(x));
-}
-
-TEST(MlpTest, MultiOutputGradientsMatchFiniteDifferences) {
-  Rng rng(22);
-  MlpConfig cfg;
-  cfg.layer_sizes = {2, 4, 3};
-  cfg.activation = Activation::kTanh;
-  cfg.l2 = 0.0;
-  Mlp mlp(cfg, &rng);
-  Matrix x = Matrix::FromRows({{0.3, 0.7}});
-  Matrix y = Matrix::FromRows({{0.1, -0.2, 0.4}});
-  auto grads = mlp.ZeroGrads();
-  mlp.ForwardBackwardMulti(x, y, &grads);
-  Vector flat;
-  for (const auto& g : grads) {
-    flat.insert(flat.end(), g.dw.data().begin(), g.dw.data().end());
-    flat.insert(flat.end(), g.db.begin(), g.db.end());
-  }
-  auto loss_at = [&](const Vector& params) {
-    Mlp probe(cfg, &rng);
-    probe.Restore(params);
-    const Vector out = probe.Forward(x.Row(0));
-    double loss = 0.0;
-    for (int o = 0; o < 3; ++o) {
-      const double err = out[o] - y(0, o);
-      loss += err * err / 3.0;
-    }
-    return loss;
-  };
-  const Vector params = mlp.Snapshot();
-  const double h = 1e-6;
-  for (size_t i = 0; i < params.size(); i += 3) {
-    Vector pp = params;
-    Vector pm = params;
-    pp[i] += h;
-    pm[i] -= h;
-    const double fd = (loss_at(pp) - loss_at(pm)) / (2 * h);
-    EXPECT_NEAR(flat[i], fd, 1e-5) << "param " << i;
-  }
+  EXPECT_DOUBLE_EQ(mean, Predict(mlp, {0.1, 0.2, 0.3}));
 }
 
 // ---------------------------------------------------------------- Adam
@@ -330,7 +368,7 @@ TEST(TrainTest, LearnsLinearFunction) {
   TrainResult result = TrainMlp(&mlp, x, y, tc, &rng);
   EXPECT_LT(result.best_loss, 1e-3);
   // Generalizes to a held-out point.
-  EXPECT_NEAR(mlp.Predict({0.5, 0.5}), 0.5 * 0.5 - 0.3 * 0.5 + 0.1, 0.05);
+  EXPECT_NEAR(Predict(mlp, {0.5, 0.5}), 0.5 * 0.5 - 0.3 * 0.5 + 0.1, 0.05);
 }
 
 TEST(TrainTest, EarlyStoppingHaltsBeforeMaxEpochs) {
@@ -369,9 +407,11 @@ TEST(TrainTest, FineTuningImprovesShiftedTarget) {
   // Shift targets slightly; a short fine-tune should track the shift.
   Vector y2 = y;
   for (double& v : y2) v += 0.2;
+  Vector pred;
+  mlp.PredictBatch(x, &pred);
   double before = 0.0;
   for (int i = 0; i < n; ++i) {
-    const double e = mlp.Predict(x.Row(i)) - y2[i];
+    const double e = pred[i] - y2[i];
     before += e * e;
   }
   TrainConfig ft;

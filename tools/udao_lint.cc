@@ -42,6 +42,12 @@
 //      service entry points were removed in favor of Submit() +
 //      RequestTicket (Wait/TryGet/Cancel); this quarantines the old names so
 //      they cannot be reintroduced by a stale branch or a copy-paste.
+//  11. No declaration or out-of-class definition of Predict /
+//      InputGradient / PredictWithUncertainty outside
+//      src/model/objective_model.* -- a model's only evaluation code is its
+//      batch trio (PredictBatch / GradientBatch /
+//      PredictWithUncertaintyBatch); the 1-row calls are base-class wrappers,
+//      so a per-point override would be a second path to keep bitwise-equal.
 //
 // Usage: udao_lint <src-dir>
 // Exits nonzero and prints one "file:line: rule: detail" per finding.
@@ -92,6 +98,11 @@ bool IsSyncFile(const std::string& rel) { return rel == "common/sync.h"; }
 // The quarantine zone for vector code: the dispatched kernel layer.
 bool IsKernelFile(const std::string& rel) {
   return rel == "nn/kernels.h" || rel == "nn/kernels.cc";
+}
+
+// The one place the 1-row model calls are declared and defined.
+bool IsObjectiveModelFile(const std::string& rel) {
+  return rel == "model/objective_model.h" || rel == "model/objective_model.cc";
 }
 
 // True if the '"' at `i` opens a raw string literal: it follows an R, uR,
@@ -261,6 +272,16 @@ const std::vector<TokenRule>& Rules() {
        "table; inline intrinsics elsewhere bypass UDAO_KERNEL dispatch and "
        "the scalar/vector parity contracts the CI matrix enforces",
        &IsKernelFile},
+      // A return type, an optional Class::, then the name and '(': calls
+      // (".Predict(", "->Predict(", "= Predict(") and the *Batch names never
+      // match.
+      {"scalar-model-override",
+       std::regex(
+           R"(\b(double|void|Vector)\s+(\w+\s*::\s*)?(Predict|InputGradient|PredictWithUncertainty)\s*\()"),
+       "a model's only evaluation code is its batch trio (PredictBatch, "
+       "GradientBatch, PredictWithUncertaintyBatch); the 1-row calls are "
+       "ObjectiveModel wrappers, and a per-point override is a second path",
+       &IsObjectiveModelFile},
   };
   return *rules;
 }
