@@ -7,7 +7,6 @@
 #include "common/matrix.h"
 #include "common/metrics_registry.h"
 #include "common/random.h"
-#include "nn/kernels.h"
 
 namespace udao {
 
@@ -70,19 +69,28 @@ std::vector<MooPoint> DensifyFrontier(const MooProblem& problem,
     }
   }
 
-  // Batch-evaluate every objective over the whole candidate block: one
-  // PredictBatch (one GEMM stream for DNN objectives) per objective, with the
-  // MLP activation temporaries bump-allocated in the calling thread's kernel
-  // arena and released on scope exit.
-  std::vector<Vector> values(k);
-  {
-    kernels::KernelArena::Scope scope(&kernels::KernelArena::ThreadLocal());
-    for (int j = 0; j < k; ++j) {
-      if (stop.ShouldStop()) {
-        stats->stopped = true;
-        return frontier;
-      }
-      problem.EvaluateOneBatch(j, x, &values[j]);
+  // Batch-evaluate every objective over the candidate block, kEvalRows rows
+  // per PredictBatch. Rows are independent, so the values equal one
+  // whole-block call's, while the MLP activation temporaries -- bump-allocated
+  // in the calling thread's kernel arena, which keeps its peak for the
+  // thread's life -- stay bounded by kEvalRows rather than max_candidates.
+  constexpr int kEvalRows = 64;
+  std::vector<Vector> values(k, Vector(total));
+  Matrix block;
+  Vector block_values;
+  for (int j = 0; j < k; ++j) {
+    if (stop.ShouldStop()) {
+      stats->stopped = true;
+      return frontier;
+    }
+    for (int r0 = 0; r0 < total; r0 += kEvalRows) {
+      const int rows = std::min(kEvalRows, total - r0);
+      block.Resize(rows, dim);
+      std::copy(x.RowPtr(r0), x.RowPtr(r0) + static_cast<size_t>(rows) * dim,
+                block.RowPtr(0));
+      problem.EvaluateOneBatch(j, block, &block_values);
+      std::copy(block_values.begin(), block_values.end(),
+                values[j].begin() + r0);
     }
   }
   stats->candidates = total;

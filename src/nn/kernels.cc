@@ -38,8 +38,15 @@ namespace kernels {
 
 namespace {
 
+// Every table kernel starts on a 64-byte boundary, so where its loops fall
+// relative to instruction-fetch and decoded-uop-cache boundaries is fixed by
+// its own code. Unpinned, it moved with the size of whatever the linker put
+// before this file: a 16-byte shift alone cost cold_solve ~16% in p50.
+#define UDAO_KERNEL_ALIGNED __attribute__((aligned(64)))
+
 // ------------------------------------------------------------------ scalar
 
+UDAO_KERNEL_ALIGNED
 double DotScalar(const double* a, const double* b, int n) {
   double acc = 0.0;
   for (int i = 0; i < n; ++i) acc += a[i] * b[i];
@@ -48,6 +55,7 @@ double DotScalar(const double* a, const double* b, int n) {
 
 // Same single dependency chain and order as DotScalar (so the result is
 // bitwise-identical); the unroll only amortizes loop control.
+UDAO_KERNEL_ALIGNED
 double Dot128Scalar(const double* a, const double* b) {
   double acc = 0.0;
   for (int i = 0; i < 128; i += 8) {
@@ -66,11 +74,13 @@ double Dot128Scalar(const double* a, const double* b) {
 // Elementwise, so vectorization cannot reassociate anything: each lane is an
 // independent mul+add, bitwise-identical to the sequential loop. This is the
 // portable-SIMD fallback lane of the kernel layer (no -mavx2 required).
+UDAO_KERNEL_ALIGNED
 void AxpyScalar(double* dst, const double* src, double scale, int n) {
 #pragma omp simd
   for (int i = 0; i < n; ++i) dst[i] += scale * src[i];
 }
 
+UDAO_KERNEL_ALIGNED
 void LayerForwardScalar(const double* in, int rows, int in_dim,
                         const double* w, const double* bias, int out_dim,
                         Fused fuse, double* out) {
@@ -88,6 +98,7 @@ void LayerForwardScalar(const double* in, int rows, int in_dim,
   }
 }
 
+UDAO_KERNEL_ALIGNED
 void GemmNnScalar(const double* a, int rows, int k, const double* b, int cols,
                   double* out) {
   for (int i = 0; i < rows; ++i) {
@@ -127,6 +138,7 @@ __attribute__((target("avx2,fma"))) inline double HorizontalSum(
   return _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
 }
 
+UDAO_KERNEL_ALIGNED
 __attribute__((target("avx2,fma"))) double DotAvx2(const double* a,
                                                    const double* b, int n) {
   __m256d acc0 = _mm256_setzero_pd();
@@ -166,6 +178,7 @@ __attribute__((target("avx2,fma"))) double DotAvx2(const double* a,
   acc3 = _mm256_fmadd_pd(_mm256_loadu_pd(a + (off) + 12),                   \
                          _mm256_loadu_pd(b + (off) + 12), acc3);
 
+UDAO_KERNEL_ALIGNED
 __attribute__((target("avx2,fma"))) double Dot128Avx2(const double* a,
                                                       const double* b) {
   __m256d acc0 = _mm256_setzero_pd();
@@ -185,6 +198,7 @@ __attribute__((target("avx2,fma"))) double Dot128Avx2(const double* a,
 
 #undef UDAO_DOT128_BLOCK
 
+UDAO_KERNEL_ALIGNED
 __attribute__((target("avx2,fma"))) void AxpyAvx2(double* dst,
                                                   const double* src,
                                                   double scale, int n) {
@@ -199,6 +213,7 @@ __attribute__((target("avx2,fma"))) void AxpyAvx2(double* dst,
   for (; i < n; ++i) dst[i] = std::fma(src[i], scale, dst[i]);
 }
 
+UDAO_KERNEL_ALIGNED
 __attribute__((target("avx2,fma"))) void LayerForwardAvx2(
     const double* in, int rows, int in_dim, const double* w,
     const double* bias, int out_dim, Fused fuse, double* out) {
@@ -216,6 +231,7 @@ __attribute__((target("avx2,fma"))) void LayerForwardAvx2(
   }
 }
 
+UDAO_KERNEL_ALIGNED
 __attribute__((target("avx2,fma"))) void GemmNnAvx2(const double* a, int rows,
                                                     int k, const double* b,
                                                     int cols, double* out) {
@@ -237,6 +253,8 @@ const KernelTable kAvx2Table = {
 };
 
 #endif  // UDAO_KERNELS_X86
+
+#undef UDAO_KERNEL_ALIGNED
 
 // --------------------------------------------------------------- dispatch
 
@@ -320,21 +338,35 @@ double* KernelArena::Alloc(size_t n) {
     ++slab_;
     used_ = 0;
   }
-  // Growth: the only heap traffic the arena ever causes. Doubling against
-  // the total already reserved keeps the slab count logarithmic in demand.
+  // Growth: besides Merge, the only heap traffic the arena ever causes.
+  // Doubling against the total already reserved keeps the slab count
+  // logarithmic in demand.
   constexpr size_t kMinSlabDoubles = 4096;  // 32 KiB
   const size_t size = std::max(n, std::max(kMinSlabDoubles, reserved_));
-  Slab slab;
-  slab.data = std::make_unique<double[]>(size);
-  slab.size = size;
-  slabs_.push_back(std::move(slab));
+  AddSlab(size);
   reserved_ += size;
-  ++grow_count_;
-  UDAO_METRIC_COUNTER_ADD("udao.nn.arena_bytes",
-                          static_cast<long long>(size * sizeof(double)));
   slab_ = slabs_.size() - 1;
   used_ = n;
   return slabs_.back().data.get();
+}
+
+void KernelArena::Merge() {
+  // Free the chain before acquiring its replacement, so the two are never
+  // held at once.
+  slabs_.clear();
+  AddSlab(reserved_);
+}
+
+void KernelArena::AddSlab(size_t size) {
+  // Not zero-filled: every consumer writes a block before reading it, so a
+  // slab's pages become resident only as far as demand actually reaches.
+  Slab slab;
+  slab.data = std::make_unique_for_overwrite<double[]>(size);
+  slab.size = size;
+  slabs_.push_back(std::move(slab));
+  ++grow_count_;
+  UDAO_METRIC_COUNTER_ADD("udao.nn.arena_bytes",
+                          static_cast<long long>(size * sizeof(double)));
 }
 
 KernelArena& KernelArena::ThreadLocal() {

@@ -135,7 +135,9 @@ inline void GemmNn(const double* a, int rows, int k, const double* b,
 /// bumps over memory acquired during the first iteration (warmup). Growth
 /// events -- the only times the arena touches the heap -- are counted
 /// (grow_count) and reported via the udao.nn.arena_bytes counter, which is
-/// how tests assert zero allocations per iteration after warmup.
+/// how tests assert zero allocations per iteration after warmup. Slabs are
+/// not zero-filled, and a chain grown during warmup is merged into one slab
+/// once the arena is empty again, so resident memory tracks peak demand.
 ///
 /// Not thread-safe; use ThreadLocal() (one arena per thread) or confine an
 /// instance to one thread. Blocks are released in LIFO order by Scope.
@@ -159,7 +161,8 @@ class KernelArena {
   static KernelArena& ThreadLocal();
 
   /// Rewinds the arena to its construction-time position, releasing every
-  /// allocation made inside the scope (capacity is retained).
+  /// allocation made inside the scope (capacity is retained). Rewinding an
+  /// arena to empty also merges a chain of slabs into one (see Merge).
   class Scope {
    public:
     explicit Scope(KernelArena* arena)
@@ -167,6 +170,9 @@ class KernelArena {
     ~Scope() {
       arena_->slab_ = slab_;
       arena_->used_ = used_;
+      if (slab_ == 0 && used_ == 0 && arena_->slabs_.size() > 1) {
+        arena_->Merge();
+      }
     }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
@@ -182,6 +188,14 @@ class KernelArena {
     std::unique_ptr<double[]> data;
     size_t size = 0;
   };
+
+  /// Replaces the slabs of an empty arena with one slab of the same total
+  /// capacity (counted as a growth). A call pattern that grew a chain then
+  /// bumps through one slab, so the memory it touches -- what stays
+  /// resident -- is its demand, not a partly used prefix of every slab.
+  void Merge();
+  /// Acquires one uninitialized slab of `size` doubles (a growth).
+  void AddSlab(size_t size);
 
   std::vector<Slab> slabs_;
   size_t slab_ = 0;  ///< Index of the slab currently bumped into.

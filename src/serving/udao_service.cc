@@ -20,6 +20,16 @@ double NowMs(const std::chrono::steady_clock::time_point& since) {
       .count();
 }
 
+// Frontier densification (between steps 2 and 3): a cache hit means the
+// request paid no solve, so some of the saved budget can buy a thicker
+// frontier. A degraded deadline-hit frontier is thickened post-hoc instead.
+// Cold complete solves are served as computed.
+bool Densifies(const UdaoRequest& request, const PfResult& frontier,
+               bool hit) {
+  return request.options.densify_samples > 0 && !frontier.frontier.empty() &&
+         (hit || frontier.degraded);
+}
+
 }  // namespace
 
 /// Shared result slot behind every copy of one ticket. The service-side
@@ -195,12 +205,16 @@ std::optional<UdaoService::CacheEntry> UdaoService::Lookup(
     UDAO_METRIC_COUNTER_ADD("udao.service.cache_misses", 1);
     return std::nullopt;
   }
+  CountHit(shard, *entry);
+  return entry;
+}
+
+void UdaoService::CountHit(CacheShard& shard, const CacheEntry& entry) const {
   // Recency refresh: the tick cell is shared by every map holding the entry,
   // so eviction sees hits made through older maps too.
-  entry->tick->store(NextTick(), std::memory_order_relaxed);
+  entry.tick->store(NextTick(), std::memory_order_relaxed);
   shard.cache_hits.fetch_add(1, std::memory_order_relaxed);
   UDAO_METRIC_COUNTER_ADD("udao.service.cache_hits", 1);
-  return entry;
 }
 
 void UdaoService::Insert(CacheShard& shard, const std::string& key,
@@ -270,13 +284,40 @@ StatusOr<UdaoRecommendation> UdaoService::ServeStale(
   entry->tick->store(NextTick(), std::memory_order_relaxed);
   UDAO_METRIC_COUNTER_ADD("udao.service.stale_serves", 1);
   StatusOr<UdaoRecommendation> rec =
-      udao_.Recommend(request, *entry->problem, *entry->frontier);
+      udao_.Recommend(request, *entry->problem, *entry->frontier,
+                      /*ranked=*/nullptr, entry->default_latency);
   if (!rec.ok()) return rec.status();
   // The frontier may predate newer traces (any-generation lookup): correct
   // trade-offs as of some recent past, explicitly marked best-effort.
   rec->degraded = true;
   rec->queue_wait_ms = queue_wait_ms;
   return rec;
+}
+
+std::optional<StatusOr<UdaoRecommendation>> UdaoService::ServeHit(
+    const UdaoRequest& request) {
+  const auto t0 = std::chrono::steady_clock::now();
+  // Budget and cancel enforcement, stage refinement and error reporting
+  // belong to the queued path; an invalid request has no key to probe.
+  if (request.options.deadline.IsExpired() ||
+      request.options.cancel.IsCancelled() || RefinesStages(request) ||
+      !Udao::Validate(request).ok()) {
+    return std::nullopt;
+  }
+  // Handle's Lookup without its counters: only a probe that serves counts.
+  CacheShard& shard = ShardFor(request.workload_id);
+  const std::optional<CacheEntry> entry = Find(shard, CacheKey(request));
+  if (!entry.has_value() ||
+      entry->generation != server_->Generation(request.workload_id)) {
+    return std::nullopt;
+  }
+  // Never rank on the caller's thread: an unmemoized ranking (MC-dropout,
+  // or densification) waits for a worker.
+  const RankedFrontier ranked = Memoized(request, *entry, /*hit=*/true);
+  if (ranked.ranked == nullptr) return std::nullopt;
+  UDAO_TRACE_SPAN("service.handle");
+  CountHit(shard, *entry);
+  return Respond(request, *entry, ranked, t0, /*queue_wait_ms=*/0.0);
 }
 
 StatusOr<UdaoRecommendation> UdaoService::Handle(const UdaoRequest& request,
@@ -318,9 +359,17 @@ StatusOr<UdaoRecommendation> UdaoService::Handle(const UdaoRequest& request,
     entry = std::move(*solved);
   }
 
-  const RankedFrontier ranked = Rank(request, *entry, hit);
-  StatusOr<UdaoRecommendation> rec = udao_.Recommend(
-      request, *entry->problem, *ranked.frontier, ranked.ranked.get());
+  return Respond(request, *entry, Rank(request, *entry, hit), t0,
+                 queue_wait_ms);
+}
+
+StatusOr<UdaoRecommendation> UdaoService::Respond(
+    const UdaoRequest& request, const CacheEntry& entry,
+    const RankedFrontier& ranked, std::chrono::steady_clock::time_point t0,
+    double queue_wait_ms) const {
+  StatusOr<UdaoRecommendation> rec =
+      udao_.Recommend(request, *entry.problem, *ranked.frontier,
+                      ranked.ranked.get(), entry.default_latency);
   if (rec.ok()) {
     RefineStages(request, &*rec);
     rec->seconds = NowMs(t0) / 1e3;
@@ -336,6 +385,7 @@ StatusOr<UdaoService::CacheEntry> UdaoService::Solve(
   CacheEntry entry;
   entry.problem =
       std::make_shared<const MooProblem>(request.space, std::move(objectives));
+  entry.default_latency = udao_.DefaultLatency(request, *entry.problem);
   {
     UDAO_TRACE_SPAN("service.pf");
     // pf_config_ = the service's solver options with co_solver pointed at
@@ -368,32 +418,37 @@ StatusOr<UdaoService::CacheEntry> UdaoService::Solve(
 UdaoService::RankedFrontier UdaoService::Rank(const UdaoRequest& request,
                                               const CacheEntry& entry,
                                               bool hit) const {
-  // Frontier densification (between steps 2 and 3): a cache hit means this
-  // request paid no solve, so some of the saved budget can buy a thicker
-  // frontier. A degraded deadline-hit frontier is thickened post-hoc
-  // instead. Cold complete solves are served as computed.
-  if (request.options.densify_samples > 0 &&
-      !entry.frontier->frontier.empty() && (hit || entry.frontier->degraded)) {
-    return Densify(request, entry);
-  }
-  // Undensified serve: reuse (or lazily seed) the entry's memoized base
-  // re-rank; degraded solves have no memo and compute it inline exactly as
-  // Recommend itself would.
-  RecommendMemo* memo = entry.memo.get();
-  RankedFrontier out{entry.frontier, nullptr};
-  if (memo != nullptr) {
+  RankedFrontier out = Memoized(request, entry, hit);
+  if (out.ranked != nullptr) return out;
+  if (Densifies(request, *entry.frontier, hit)) return Densify(request, entry);
+  // Undensified serve: seed the entry's memo with its base re-rank; degraded
+  // solves have no memo and compute it inline exactly as Recommend itself
+  // would.
+  out.ranked = std::make_shared<const std::vector<MooPoint>>(
+      udao_.ConservativeRank(*entry.problem, entry.frontier->frontier));
+  if (RecommendMemo* memo = entry.memo.get(); memo != nullptr) {
     MutexLock lock(memo->mu);
-    out.ranked = memo->base_ranked;
-  }
-  if (out.ranked == nullptr) {
-    out.ranked = std::make_shared<const std::vector<MooPoint>>(
-        udao_.ConservativeRank(*entry.problem, entry.frontier->frontier));
-    if (memo != nullptr) {
-      MutexLock lock(memo->mu);
-      memo->base_ranked = out.ranked;
-    }
+    memo->base_ranked = out.ranked;
   }
   return out;
+}
+
+UdaoService::RankedFrontier UdaoService::Memoized(const UdaoRequest& request,
+                                                  const CacheEntry& entry,
+                                                  bool hit) const {
+  RankedFrontier out{entry.frontier, nullptr};
+  RecommendMemo* memo = entry.memo.get();
+  if (memo == nullptr) return out;
+  MutexLock lock(memo->mu);
+  if (!Densifies(request, *entry.frontier, hit)) {
+    out.ranked = memo->base_ranked;
+    return out;
+  }
+  const auto it = memo->variants.find(
+      {request.options.densify_samples, request.options.densify_radius});
+  if (it == memo->variants.end()) return out;
+  UDAO_METRIC_COUNTER_ADD("udao.densify.memo_hits", 1);
+  return it->second;
 }
 
 UdaoService::RankedFrontier UdaoService::Densify(
@@ -411,14 +466,6 @@ UdaoService::RankedFrontier UdaoService::Densify(
   RecommendMemo* memo = entry.memo.get();
   const std::pair<int, double> vkey{request.options.densify_samples,
                                     request.options.densify_radius};
-  if (memo != nullptr) {
-    MutexLock lock(memo->mu);
-    const auto it = memo->variants.find(vkey);
-    if (it != memo->variants.end()) {
-      UDAO_METRIC_COUNTER_ADD("udao.densify.memo_hits", 1);
-      return it->second;
-    }
-  }
   [[maybe_unused]] const auto t0 = std::chrono::steady_clock::now();
   DensifyConfig dc;
   dc.samples_per_point = request.options.densify_samples;
@@ -443,6 +490,11 @@ UdaoService::RankedFrontier UdaoService::Densify(
   return out;
 }
 
+bool UdaoService::RefinesStages(const UdaoRequest& request) const {
+  return request.options.adaptive.granularity == AdaptiveGranularity::kStage &&
+         request.flow != nullptr && hierarchical_ != nullptr;
+}
+
 void UdaoService::RefineStages(const UdaoRequest& request,
                                UdaoRecommendation* rec) const {
   // Stage-level refinement (step 4, for kStage requests): per-stage knobs
@@ -451,10 +503,7 @@ void UdaoService::RefineStages(const UdaoRequest& request,
   // frontier cache key deliberately excludes. Failure -- budget, invalid
   // space, solver error -- keeps the flat recommendation (stage-level tuning
   // is advice on top of a complete answer, so it degrades, never errors).
-  if (request.options.adaptive.granularity != AdaptiveGranularity::kStage ||
-      request.flow == nullptr || hierarchical_ == nullptr) {
-    return;
-  }
+  if (!RefinesStages(request)) return;
   [[maybe_unused]] const auto t0 = std::chrono::steady_clock::now();
   const std::vector<StageProfile> stages = config_.engine->PlanStages(
       *request.flow, rec->conf_raw, /*planner_estimates=*/true);
@@ -510,13 +559,6 @@ RequestTicket UdaoService::Submit(const UdaoRequest& request) {
     s->result.emplace(std::move(r));
     s->cv.NotifyAll();
   };
-  // Either source firing -- the caller's own token or the ticket's Cancel()
-  // -- stops this request's solve; composing here keeps the solve stack
-  // single-token.
-  UdaoRequest composed = request;
-  composed.options.cancel = CancellationToken::Any(
-      request.options.cancel, ticket.state_->cancel.token());
-
   requests_.fetch_add(1, std::memory_order_relaxed);
   UDAO_METRIC_COUNTER_ADD("udao.service.requests", 1);
   const ShedPolicy shed =
@@ -545,7 +587,7 @@ RequestTicket UdaoService::Submit(const UdaoRequest& request) {
         // Step-3-only work (microseconds): cheap enough for the caller's
         // thread, which is the point -- no queue slot consumed.
         StatusOr<UdaoRecommendation> stale =
-            ServeStale(composed, CacheKey(composed), /*queue_wait_ms=*/0.0);
+            ServeStale(request, CacheKey(request), /*queue_wait_ms=*/0.0);
         AccountResponse(stale);
         deliver(std::move(stale));
         return ticket;
@@ -556,6 +598,24 @@ RequestTicket UdaoService::Submit(const UdaoRequest& request) {
     }
   }
 
+  // A memoized hit is answered right here: no request copy, no queue slot,
+  // no hand-off to a worker and back. A kDegrade admission is an overload
+  // decision already taken, so it queues as before.
+  if (!degrade_admission) {
+    std::optional<StatusOr<UdaoRecommendation>> hit = ServeHit(request);
+    if (hit.has_value()) {
+      AccountResponse(*hit);
+      deliver(std::move(*hit));
+      return ticket;
+    }
+  }
+
+  // Either source firing -- the caller's own token or the ticket's Cancel()
+  // -- stops this request's solve; composing here keeps the solve stack
+  // single-token.
+  UdaoRequest composed = request;
+  composed.options.cancel = CancellationToken::Any(
+      request.options.cancel, ticket.state_->cancel.token());
   queue_depth_.fetch_add(1, std::memory_order_relaxed);
   UDAO_METRIC_GAUGE_SET(
       "udao.service.queue_depth",

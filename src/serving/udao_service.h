@@ -2,6 +2,7 @@
 #define UDAO_SERVING_UDAO_SERVICE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -143,9 +144,13 @@ class RequestTicket {
 ///
 /// Five things distinguish it from calling Udao::Optimize directly:
 ///
-///  - Admission: requests run on a fixed-size ThreadPool, so any number of
-///    client threads can call Submit() concurrently while solver parallelism
-///    stays bounded.
+///  - Admission: a current-generation cache hit whose ranking is already
+///    memoized is answered inside Submit() on the caller's thread (a lookup
+///    plus step 3, no queue). Every other request -- misses, stale entries,
+///    unmemoized rankings or densified variants, stage-level refinement,
+///    expired or cancelled requests, kDegrade admissions -- runs on a
+///    fixed-size ThreadPool, so any number of client threads can call
+///    Submit() concurrently while solver parallelism stays bounded.
 ///  - Solve coalescing: the MOGD subproblems of concurrently admitted
 ///    requests are funneled through one SolveCoalescer, which fuses
 ///    same-shaped problems from different requests into shared batched
@@ -188,13 +193,15 @@ class RequestTicket {
 ///    request whose budget expired while still queued is never solved:
 ///    it sheds per policy (queue-deadline enforcement).
 ///
-/// Each request runs four named steps on an admission worker (Handle):
+/// A queued request runs four named steps on an admission worker (Handle):
 /// Lookup (a counted current-generation hit), Solve (Progressive Frontier on
 /// a miss, inserting complete frontiers), Rank (the entry's memoized
 /// conservative re-rank, or its densified variant) and RefineStages
 /// (stage-level kStage requests only), with Udao::Recommend between the
-/// last two. Lookup, Rank and Recommend read shared state only through the
-/// published snapshot and the entry's memo.
+/// last two. The inline hit path (ServeHit) is Lookup and Rank restricted
+/// to what is already memoized, then the same Respond; a probe that cannot
+/// serve counts nothing and leaves the request to Handle. Both read shared
+/// state only through the published snapshot and the entry's memo.
 ///
 /// Two requests missing on the same key concurrently both compute the
 /// frontier (no single-flighting); the computation is deterministic, so both
@@ -210,12 +217,14 @@ class UdaoService {
 
   /// Admits the request and returns a ticket immediately. The unified entry
   /// point: Wait() on the ticket for synchronous use, poll TryGet() for
-  /// async use, Cancel() to abandon the solve early. The request is copied;
-  /// the space/model pointers inside it must outlive the call. Safe from any
-  /// number of threads concurrently. The returned recommendation carries
-  /// queue_wait_ms -- the time the request spent waiting for an admission
-  /// worker -- so callers and load generators can tell queueing delay from
-  /// solve time.
+  /// async use, Cancel() to abandon the solve early. A memoized
+  /// current-generation hit is already complete when Submit returns;
+  /// anything else is copied and queued, and the space/model pointers inside
+  /// it must outlive the call. Safe from any number of threads concurrently.
+  /// The returned recommendation carries queue_wait_ms -- the time the
+  /// request spent waiting for an admission worker, 0 for hits answered
+  /// inside Submit -- so callers and load generators can tell queueing delay
+  /// from solve time.
   RequestTicket Submit(const UdaoRequest& request);
 
   /// AQE-style boundary re-solve entry: per-stage knobs for stages
@@ -281,6 +290,10 @@ class UdaoService {
     /// Lazily filled recommendation memo (see RecommendMemo). Null only on
     /// degraded solves, which have no entry.
     std::shared_ptr<RecommendMemo> memo;
+    /// Udao::DefaultLatency for the key's request shape over `problem`,
+    /// computed once when the entry is built and handed to every Recommend
+    /// served from it.
+    std::optional<double> default_latency;
     /// ModelServer::Generation(workload) observed before resolving models.
     uint64_t generation = 0;
     /// Recency stamp (global lru_tick_ value of the last touch). Shared by
@@ -318,17 +331,29 @@ class UdaoService {
   /// budget-truncated results are never inserted.
   std::string CacheKey(const UdaoRequest& request) const;
 
-  /// The whole request path; runs on an admission worker. `queue_wait_ms`
-  /// is surfaced in the returned recommendation.
+  /// Submit's inline path, on the caller's thread: the answer to a
+  /// current-generation hit whose ranking (base re-rank, or the densified
+  /// variant for the request's knobs) is already memoized, counted as a hit.
+  /// nullopt, with nothing counted, for every request that needs Handle:
+  /// misses, stale entries, unmemoized rankings, stage refinement, expired
+  /// or cancelled requests, and invalid requests.
+  std::optional<StatusOr<UdaoRecommendation>> ServeHit(
+      const UdaoRequest& request);
+
+  /// The whole queued request path; runs on an admission worker.
+  /// `queue_wait_ms` is surfaced in the returned recommendation.
   StatusOr<UdaoRecommendation> Handle(const UdaoRequest& request,
                                       double queue_wait_ms);
 
   /// Step 1 of Handle: the shard's entry for `key` if it carries
-  /// `generation`, counted as a hit (and its recency refreshed); otherwise
-  /// nullopt, counted as a miss (plus an invalidation when only an older
-  /// generation is cached).
+  /// `generation`, counted as a hit (CountHit); otherwise nullopt, counted
+  /// as a miss (plus an invalidation when only an older generation is
+  /// cached).
   std::optional<CacheEntry> Lookup(CacheShard& shard, const std::string& key,
                                    uint64_t generation);
+  /// Hit bookkeeping shared by Lookup and ServeHit: refreshes the entry's
+  /// recency and counts the hit.
+  void CountHit(CacheShard& shard, const CacheEntry& entry) const;
   /// Step 2 of Handle, on a miss: runs Progressive Frontier over the
   /// resolved `objectives` and inserts a complete frontier under `key` with
   /// a fresh memo. A degraded frontier is returned without a memo and never
@@ -340,15 +365,32 @@ class UdaoService {
   /// Step 3 of Handle: the frontier to recommend from and its conservative
   /// re-rank. A densifying request on a hit (or a degraded solve) gets the
   /// densified variant; everything else gets the entry's own frontier with
-  /// its memoized base re-rank, computed and stored on first use.
+  /// its base re-rank. Either comes from the memo when present (Memoized),
+  /// else is computed and memoized.
   RankedFrontier Rank(const UdaoRequest& request, const CacheEntry& entry,
                       bool hit) const;
-  /// Rank's densified variant: served from the memo when present, else
-  /// sampled, re-ranked and memoized unless its deadline stopped it.
+  /// The ranking Rank would return if the entry's memo already holds it,
+  /// else a RankedFrontier with a null `ranked`. A densified variant found
+  /// here counts a densify memo hit.
+  RankedFrontier Memoized(const UdaoRequest& request, const CacheEntry& entry,
+                          bool hit) const;
+  /// Rank's unmemoized densified variant: sampled, re-ranked and memoized
+  /// unless its deadline stopped it.
   RankedFrontier Densify(const UdaoRequest& request,
                          const CacheEntry& entry) const;
-  /// Step 4 of Handle, for kStage requests only: per-stage knobs solved
-  /// around the chosen point, written into `rec`. Never fails the request.
+  /// Step 3's Udao::Recommend from `ranked` and step 4 (RefineStages), then
+  /// the response's timing fields; shared by Handle and ServeHit. `t0` is
+  /// when the request's service-side work began.
+  StatusOr<UdaoRecommendation> Respond(
+      const UdaoRequest& request, const CacheEntry& entry,
+      const RankedFrontier& ranked,
+      std::chrono::steady_clock::time_point t0, double queue_wait_ms) const;
+  /// Whether step 4 has work for `request`: a kStage request with a flow,
+  /// on a service with an engine.
+  bool RefinesStages(const UdaoRequest& request) const;
+  /// Step 4 of Handle, for RefinesStages requests only: per-stage knobs
+  /// solved around the chosen point, written into `rec`. Never fails the
+  /// request.
   void RefineStages(const UdaoRequest& request, UdaoRecommendation* rec) const;
 
   /// The shard's entry for `key`, any generation, or nullopt. Lock-free;

@@ -116,9 +116,21 @@ std::vector<MooPoint> Udao::ConservativeRank(
   return ranked;
 }
 
+std::optional<double> Udao::DefaultLatency(const UdaoRequest& request,
+                                           const MooProblem& problem) const {
+  if (!options_.workload_aware || problem.NumObjectives() != 2 ||
+      request.objectives[0].name != objectives::kLatency) {
+    return std::nullopt;
+  }
+  const Vector default_encoded =
+      request.space->Encode(request.space->Defaults());
+  return problem.ToNatural(0, problem.EvaluateOne(0, default_encoded));
+}
+
 StatusOr<UdaoRecommendation> Udao::Recommend(
     const UdaoRequest& request, const MooProblem& problem,
-    const PfResult& frontier, const std::vector<MooPoint>* ranked_in) const {
+    const PfResult& frontier, const std::vector<MooPoint>* ranked_in,
+    std::optional<double> default_latency) const {
   Status valid = Validate(request);
   if (!valid.ok()) return valid;
   if (frontier.frontier.empty()) {
@@ -132,15 +144,13 @@ StatusOr<UdaoRecommendation> Udao::Recommend(
   Vector external = request.preference_weights;
   if (external.empty()) external.assign(k, 1.0 / k);
   Vector weights = external;
-  if (options_.workload_aware && k == 2 &&
-      request.objectives[0].name == objectives::kLatency) {
+  if (!default_latency.has_value()) {
+    default_latency = DefaultLatency(request, problem);
+  }
+  if (default_latency.has_value()) {
     // Expert internal weights keyed to the default-configuration latency.
-    const Vector default_encoded =
-        request.space->Encode(request.space->Defaults());
-    const double default_latency = problem.ToNatural(
-        0, problem.EvaluateOne(0, default_encoded));
-    weights =
-        CombineWeights(WorkloadAwareInternalWeights(default_latency), external);
+    weights = CombineWeights(WorkloadAwareInternalWeights(*default_latency),
+                             external);
   } else {
     double sum = 0.0;
     for (double w : weights) sum += w;
@@ -152,10 +162,13 @@ StatusOr<UdaoRecommendation> Udao::Recommend(
   // Conservative re-ranking under model uncertainty: evaluate each frontier
   // point at F~ = E[F] + alpha * std[F] (minimization orientation) before
   // choosing, which demotes points whose predicted appeal sits on sparse
-  // training coverage.
-  const std::vector<MooPoint> ranked =
-      ranked_in != nullptr ? *ranked_in
-                           : ConservativeRank(problem, frontier.frontier);
+  // training coverage. A caller-supplied ranking is read in place.
+  std::vector<MooPoint> own_ranked;
+  if (ranked_in == nullptr) {
+    own_ranked = ConservativeRank(problem, frontier.frontier);
+  }
+  const std::vector<MooPoint>& ranked =
+      ranked_in != nullptr ? *ranked_in : own_ranked;
   UDAO_CHECK_EQ(ranked.size(), frontier.frontier.size());
   std::optional<MooPoint> choice;
   switch (request.options.policy) {

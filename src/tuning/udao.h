@@ -271,13 +271,25 @@ class Udao {
   ///
   /// `ranked`, when non-null, supplies the conservative (uncertainty-
   /// adjusted) companion of `frontier.frontier` -- the exact vector
-  /// ConservativeRank returns for it -- and skips the MC-dropout re-rank.
-  /// The serving layer memoizes that companion per cache entry so warm
-  /// repeats do not re-pay `mc_samples` forward passes per frontier point.
+  /// ConservativeRank returns for it -- and skips the MC-dropout re-rank; it
+  /// is read in place, not copied. `default_latency`, when set, supplies
+  /// DefaultLatency(request, problem) and skips its model forward; when
+  /// nullopt Recommend computes it itself. The serving layer memoizes both
+  /// per cache entry, so warm repeats pay neither `mc_samples` forward
+  /// passes per frontier point nor the default-configuration forward.
   StatusOr<UdaoRecommendation> Recommend(
       const UdaoRequest& request, const MooProblem& problem,
-      const PfResult& frontier,
-      const std::vector<MooPoint>* ranked = nullptr) const;
+      const PfResult& frontier, const std::vector<MooPoint>* ranked = nullptr,
+      std::optional<double> default_latency = std::nullopt) const;
+
+  /// The default-configuration latency (natural orientation) that keys
+  /// workload-aware WUN's internal weights: objective 0 of `problem` at
+  /// `request.space`'s defaults. nullopt when those weights do not apply
+  /// (workload_aware off, k != 2, or objective 0 is not latency). A pure
+  /// function of the request's space and objective names and of `problem`'s
+  /// models, so fixed for a serving cache entry.
+  std::optional<double> DefaultLatency(const UdaoRequest& request,
+                                       const MooProblem& problem) const;
 
   /// The conservative re-ranking Recommend applies before choosing: each
   /// point's objectives replaced by F~ = E[F] + uncertainty_alpha * std[F]

@@ -11,12 +11,16 @@
 //    this binary once per backend);
 //  * the KernelArena stops touching the heap after the first iteration of a
 //    fixed-shape batched workload, and reports its growth through the
-//    udao.nn.arena_bytes counter.
+//    udao.nn.arena_bytes counter;
+//  * no batched MLP path reads arena memory before writing it (slabs are
+//    not zero-filled), so stale slab contents never reach an output, and an
+//    emptied arena merges its grown slab chain into one slab.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -251,6 +255,104 @@ TEST(KernelParityTest, ArenaStopsGrowingAfterWarmup) {
   }
   EXPECT_EQ(arena.grow_count(), grown);
   EXPECT_EQ(arena.reserved_bytes(), reserved);
+}
+
+// Everything the batched MLP paths compute, for the stale-arena check below.
+struct MlpOutputs {
+  Vector values;
+  Matrix grads;
+  Vector mean;
+  Vector stddev;
+  double loss = 0.0;
+  std::vector<Mlp::LayerGrad> layer_grads;
+};
+
+MlpOutputs RunMlpPaths(const Mlp& mlp, const Matrix& x, const Vector& y) {
+  MlpOutputs out;
+  mlp.PredictBatch(x, &out.values);
+  mlp.InputGradientBatch(x, &out.grads);
+  std::vector<Rng> rngs;
+  for (int r = 0; r < x.rows(); ++r) rngs.emplace_back(300 + r);
+  mlp.PredictWithUncertaintyBatch(x, 8, &rngs, &out.mean, &out.stddev);
+  out.layer_grads = mlp.ZeroGrads();
+  out.loss = mlp.ForwardBackward(x, y, &out.layer_grads);
+  return out;
+}
+
+// Arena blocks are uninitialized (slabs are not zero-filled): no batched
+// path may read a block before writing it. Poisoning every slab the thread
+// already holds with NaN between two identical runs must leave every output
+// bitwise unchanged.
+TEST(KernelParityTest, StaleArenaContentsNeverReachOutputs) {
+  for (const Backend backend : SupportedBackends()) {
+    ScopedBackendForTesting scoped(backend);
+    for (const Activation act : {Activation::kRelu, Activation::kTanh}) {
+      const Mlp mlp = MakeMlp({12, 64, 64, 1}, act, 11);
+      Rng rng(12);
+      Matrix x(19, 12);
+      for (double& v : x.data()) v = rng.Uniform();
+      Vector y(19);
+      for (double& v : y) v = rng.Uniform();
+
+      KernelArena& arena = KernelArena::ThreadLocal();
+      // One live block keeps the arena from ever rewinding to empty below,
+      // which would merge the poisoned slabs into a fresh one.
+      KernelArena::Scope hold(&arena);
+      arena.Alloc(1);
+      const MlpOutputs first = RunMlpPaths(mlp, x, y);
+      {
+        // Bump through every existing slab one double at a time (so no
+        // slab remainder is skipped) until the arena has to grow.
+        KernelArena::Scope poison(&arena);
+        const size_t grown = arena.grow_count();
+        while (arena.grow_count() == grown) {
+          *arena.Alloc(1) = std::nan("");
+        }
+      }
+      const MlpOutputs second = RunMlpPaths(mlp, x, y);
+
+      const std::string where =
+          std::string(kernels::TableForBackend(backend)->name) +
+          (act == Activation::kRelu ? " relu" : " tanh");
+      EXPECT_EQ(first.values, second.values) << where;
+      EXPECT_EQ(first.grads.data(), second.grads.data()) << where;
+      EXPECT_EQ(first.mean, second.mean) << where;
+      EXPECT_EQ(first.stddev, second.stddev) << where;
+      EXPECT_EQ(std::memcmp(&first.loss, &second.loss, sizeof(double)), 0)
+          << where;
+      ASSERT_EQ(first.layer_grads.size(), second.layer_grads.size());
+      for (size_t l = 0; l < first.layer_grads.size(); ++l) {
+        EXPECT_EQ(first.layer_grads[l].dw.data(),
+                  second.layer_grads[l].dw.data())
+            << where << " layer " << l;
+        EXPECT_EQ(first.layer_grads[l].db, second.layer_grads[l].db)
+            << where << " layer " << l;
+      }
+    }
+  }
+}
+
+// Rewinding to empty merges a grown slab chain into one slab of the same
+// capacity: afterwards a single block of the whole capacity fits without
+// growth, which no chain of smaller slabs could hold.
+TEST(KernelParityTest, EmptiedArenaMergesItsSlabs) {
+  std::thread worker([] {
+    KernelArena& arena = KernelArena::ThreadLocal();
+    {
+      KernelArena::Scope scope(&arena);
+      for (size_t n = 1000; n < 200000; n *= 3) arena.Alloc(n);
+    }
+    const size_t grown = arena.grow_count();
+    const size_t reserved = arena.reserved_bytes();
+    EXPECT_GT(grown, 2u);  // a chain grew, and was merged
+    {
+      KernelArena::Scope scope(&arena);
+      arena.Alloc(reserved / sizeof(double));
+    }
+    EXPECT_EQ(arena.grow_count(), grown);
+    EXPECT_EQ(arena.reserved_bytes(), reserved);
+  });
+  worker.join();
 }
 
 // Arena growth is observable: a fresh thread's first batched call reserves

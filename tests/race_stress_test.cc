@@ -521,6 +521,91 @@ TEST(RaceStressTest, ConcurrentSubmitCancelAndIngest) {
   EXPECT_EQ(bad_responses.load(), 0);
 }
 
+// Inline cache hits racing the rest of the service: client threads issue
+// hits, answered inside Submit from the published snapshot and the entry's
+// memo, while an ingest thread moves the workload's generation and an
+// inserter adds new keys to the same shard (copy-on-write publishes). TSan
+// attacks the snapshot loads, the memo lock and the recency ticks; in any
+// build every response is a complete frontier and every request is counted
+// exactly once, as a hit or as a miss.
+TEST(RaceStressTest, InlineHitsVsIngestAndInserts) {
+  ModelServer server;
+  UdaoServiceConfig cfg;
+  cfg.udao.pf.mogd.multistart = 2;
+  cfg.udao.pf.mogd.max_iters = 20;
+  cfg.udao.solver_threads = 2;
+  cfg.udao.frontier_points = 5;
+  cfg.admission_threads = 2;
+  UdaoService service(&server, cfg);
+
+  const MooProblem problem = testing_problems::ConvexProblem();
+  auto make_request = [&problem](double upper) {
+    UdaoRequest request;
+    request.workload_id = "w";
+    request.space = &testing_problems::UnitSpace2();
+    request.objectives = {problem.objective(0), problem.objective(1)};
+    request.objectives[0].upper = upper;
+    return request;
+  };
+  constexpr int kPrimed = 3;
+  for (int k = 0; k < kPrimed; ++k) {
+    ASSERT_TRUE(service.Submit(make_request(10.0 - k)).Wait().ok());
+  }
+  const UdaoServiceStats before = service.stats();
+
+  constexpr int kClients = 2;
+  constexpr int kPerClient = 60;
+  constexpr int kInserts = 6;
+  constexpr int kIngests = 3;
+  std::atomic<int> bad_responses{0};
+  std::atomic<int> answered{0};
+  auto check = [&](const StatusOr<UdaoRecommendation>& r) {
+    if (!r.ok() || r->degraded || r->frontier.frontier.empty()) {
+      bad_responses.fetch_add(1);
+    }
+    answered.fetch_add(1);
+  };
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      for (int i = 0; i < kPerClient; ++i) {
+        UdaoRequest request = make_request(10.0 - (i + c) % kPrimed);
+        const double wl = 0.1 + 0.1 * (i % 9);
+        request.preference_weights = {wl, 1.0 - wl};
+        request.options.policy =
+            i % 3 == 0 ? RecommendPolicy::kKnee : RecommendPolicy::kWun;
+        request.options.densify_samples = i % 4 == 0 ? 8 : 0;
+        check(service.Submit(request).Wait());
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < kInserts; ++i) {
+      check(service.Submit(make_request(5.0 - 0.25 * i)).Wait());
+    }
+  });
+  threads.emplace_back([&] {
+    // Spread the ingests over the clients' run, however fast it goes.
+    for (int i = 0; i < kIngests; ++i) {
+      const int at = (i + 1) * kClients * kPerClient / (kIngests + 1);
+      while (answered.load() < at) std::this_thread::yield();
+      (void)server.Ingest("w", "f1", {0.25 * i, 0.5}, 1.0 + 0.1 * i);
+    }
+  });
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(bad_responses.load(), 0);
+  const UdaoServiceStats s = service.stats();
+  constexpr long long kRequests = kClients * kPerClient + kInserts;
+  EXPECT_EQ(s.requests - before.requests, kRequests);
+  EXPECT_EQ(s.cache_hits + s.cache_misses -
+                (before.cache_hits + before.cache_misses),
+            kRequests);
+  EXPECT_GT(s.cache_hits, before.cache_hits);
+  EXPECT_EQ(s.errors, 0);
+  EXPECT_EQ(s.degraded, 0);
+}
+
 // --------------------------------------------------------- MetricsRegistry
 
 // Writers on all three metric kinds (some sharing names across threads, so

@@ -11,8 +11,11 @@
 
 #include "common/fault_injector.h"
 #include "common/random.h"
+#include "model/analytic_models.h"
 #include "serving/udao_service.h"
+#include "spark/engine.h"
 #include "test_problems.h"
+#include "workload/tpcxbb.h"
 
 namespace udao {
 namespace {
@@ -442,6 +445,208 @@ TEST(UdaoServiceTest, FullQueueWithDegradePolicyStillAnswers) {
   EXPECT_EQ(s.requests, 2);
   EXPECT_EQ(s.sheds, 1);
   EXPECT_TRUE(stalled.Wait().ok());
+}
+
+// ------------------------------------------------------ inline cache hits
+
+// One admission worker, so a stall on it holds every queued request.
+UdaoServiceConfig OneWorkerConfig() {
+  UdaoServiceConfig config = FastServiceConfig();
+  config.admission_threads = 1;
+  return config;
+}
+
+// Occupies the only admission worker with a miss on another key whose first
+// PF probe sleeps `ms`. Callers Reset the fault injector once it has run.
+RequestTicket StallWorker(UdaoService* service, double upper, double ms) {
+  FaultInjector::Global().Reset();
+  FaultInjector::Global().DelayNext("pf.probe", ms, 1);
+  UdaoRequest other = ConvexRequest();
+  other.objectives[0].upper = upper;
+  return service->Submit(other);
+}
+
+// A current-generation hit whose ranking is memoized is answered on the
+// caller's thread: it is complete when Submit returns although the only
+// worker is stalled, it is bitwise what the plain optimizer returns, and it
+// is counted exactly as a queued hit.
+TEST(UdaoServiceTest, MemoizedHitCompletesInsideSubmit) {
+  ModelServer server;
+  Udao direct(&server, FastOptions());
+  UdaoRequest weighted = ConvexRequest();
+  weighted.preference_weights = {0.8, 0.2};
+  const auto cold = direct.Optimize(weighted);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+  UdaoService service(&server, OneWorkerConfig());
+  ASSERT_TRUE(service.Submit(ConvexRequest()).Wait().ok());  // miss
+  RequestTicket stalled = StallWorker(&service, 0.9, 300.0);
+  const auto served = service.Submit(weighted).TryGet();
+  ASSERT_TRUE(served.has_value()) << "the hit waited for a worker";
+  ASSERT_TRUE(served->ok()) << served->status().ToString();
+  ExpectBitwiseEqual(*cold, **served);
+  EXPECT_EQ((*served)->queue_wait_ms, 0.0);
+  EXPECT_FALSE((*served)->degraded);
+
+  EXPECT_TRUE(stalled.Wait().ok());
+  FaultInjector::Global().Reset();
+  const UdaoServiceStats s = service.stats();
+  EXPECT_EQ(s.requests, 3);
+  EXPECT_EQ(s.cache_hits, 1);
+  EXPECT_EQ(s.cache_misses, 2);
+  EXPECT_EQ(s.errors, 0);
+}
+
+// Only memoized hits run inline. Behind a stalled worker, an expired hit, a
+// cancelled hit and a densified hit whose variant is not memoized yet all
+// wait; once the worker is free each gets the queued path's answer. The
+// densified variant is memoized by then, so its repeat is served inline.
+TEST(UdaoServiceTest, HitsThatNeedAWorkerStayQueued) {
+  ModelServer server;
+  UdaoService service(&server, OneWorkerConfig());
+  ASSERT_TRUE(service.Submit(ConvexRequest()).Wait().ok());  // miss
+
+  RequestTicket stalled = StallWorker(&service, 0.9, 300.0);
+  UdaoRequest expired = ConvexRequest();
+  expired.options.deadline = Deadline::AfterMs(0.0);
+  RequestTicket t_expired = service.Submit(expired);
+  CancellationSource source;
+  source.Cancel();
+  UdaoRequest cancelled = ConvexRequest();
+  cancelled.options.cancel = source.token();
+  RequestTicket t_cancelled = service.Submit(cancelled);
+  UdaoRequest densify = ConvexRequest();
+  densify.options.densify_samples = 16;
+  RequestTicket t_densify = service.Submit(densify);
+  EXPECT_FALSE(t_expired.TryGet().has_value());
+  EXPECT_FALSE(t_cancelled.TryGet().has_value());
+  EXPECT_FALSE(t_densify.TryGet().has_value());
+
+  EXPECT_TRUE(stalled.Wait().ok());
+  FaultInjector::Global().Reset();
+  const auto r_expired = t_expired.Wait();
+  ASSERT_FALSE(r_expired.ok());
+  EXPECT_EQ(r_expired.status().code(), StatusCode::kDeadlineExceeded);
+  const auto r_cancelled = t_cancelled.Wait();
+  ASSERT_FALSE(r_cancelled.ok());
+  EXPECT_EQ(r_cancelled.status().code(), StatusCode::kDeadlineExceeded);
+  const auto densified = t_densify.Wait();
+  ASSERT_TRUE(densified.ok()) << densified.status().ToString();
+  EXPECT_GT(densified->queue_wait_ms, 0.0);
+
+  RequestTicket stalled_again = StallWorker(&service, 0.8, 300.0);
+  const auto repeat = service.Submit(densify).TryGet();
+  ASSERT_TRUE(repeat.has_value()) << "the memoized variant waited";
+  ASSERT_TRUE(repeat->ok()) << repeat->status().ToString();
+  ExpectBitwiseEqual(*densified, **repeat);
+  EXPECT_EQ((*repeat)->queue_wait_ms, 0.0);
+  EXPECT_TRUE(stalled_again.Wait().ok());
+  FaultInjector::Global().Reset();
+
+  // The parent's counts: expired and cancelled requests never reach Lookup.
+  const UdaoServiceStats s = service.stats();
+  EXPECT_EQ(s.requests, 7);
+  EXPECT_EQ(s.cache_hits, 2);
+  EXPECT_EQ(s.cache_misses, 3);
+  EXPECT_EQ(s.errors, 2);
+  EXPECT_EQ(s.deadline_exceeded, 2);
+}
+
+// Stage refinement runs only on a worker: a kStage hit on a service with an
+// engine waits behind the stalled worker, then returns the refinement the
+// cold request got.
+TEST(UdaoServiceTest, StageRefinedHitStaysQueued) {
+  const SparkEngine engine;
+  const BatchWorkload job = MakeTpcxbbWorkload(1);
+  UdaoRequest stage;
+  stage.workload_id = job.id;
+  stage.space = &BatchParamSpace();
+  stage.flow = &job.flow;
+  stage.objectives = {
+      ObjectiveSpec{"lat", MakeAnalyticBatchLatencyModel(AnalyticWorkload{})},
+      ObjectiveSpec{"cost", MakeCostCoresModel()}};
+  stage.preference_weights = {0.9, 0.1};
+  stage.options.adaptive.granularity = AdaptiveGranularity::kStage;
+  stage.options.adaptive.resolve_budget_ms = 10000.0;  // no deadline binds
+
+  ModelServer server;
+  UdaoServiceConfig config = OneWorkerConfig();
+  config.engine = &engine;
+  UdaoService service(&server, config);
+  const auto cold = service.Submit(stage).Wait();  // miss
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_FALSE(cold->stage_overlay.empty());
+
+  RequestTicket stalled = StallWorker(&service, 0.9, 300.0);
+  RequestTicket hit = service.Submit(stage);
+  EXPECT_FALSE(hit.TryGet().has_value());
+  EXPECT_TRUE(stalled.Wait().ok());
+  FaultInjector::Global().Reset();
+  const auto warm = hit.Wait();
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm->conf_raw, cold->conf_raw);
+  EXPECT_EQ(warm->stage_overlay.overrides, cold->stage_overlay.overrides);
+  EXPECT_EQ(warm->stage_confs, cold->stage_confs);
+  const UdaoServiceStats s = service.stats();
+  EXPECT_EQ(s.cache_hits, 1);
+  EXPECT_EQ(s.cache_misses, 2);
+}
+
+// A cached infeasible key is a hit like any other: answered inside Submit
+// with the queued path's FailedPrecondition, counted as a hit and an error.
+// Densification has no points to thicken there, so a densifying repeat is
+// served inline too.
+TEST(UdaoServiceTest, CachedInfeasibleKeyFailsInline) {
+  ModelServer server;
+  UdaoService service(&server, OneWorkerConfig());
+  // f2 <= 0.1 needs x0 >= 0.68, so f1 = x0 + x1 <= 0.5 cannot hold with it.
+  UdaoRequest infeasible = ConvexRequest();
+  infeasible.objectives[0].upper = 0.5;
+  infeasible.objectives[1].upper = 0.1;
+  const auto cold = service.Submit(infeasible).Wait();  // miss
+  ASSERT_FALSE(cold.ok());
+  EXPECT_EQ(cold.status().code(), StatusCode::kFailedPrecondition);
+
+  RequestTicket stalled = StallWorker(&service, 0.9, 300.0);
+  UdaoRequest densify = infeasible;
+  densify.options.densify_samples = 8;
+  for (const UdaoRequest& request : {infeasible, densify}) {
+    const auto warm = service.Submit(request).TryGet();
+    ASSERT_TRUE(warm.has_value()) << "the hit waited for a worker";
+    ASSERT_FALSE(warm->ok());
+    EXPECT_EQ(warm->status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(warm->status().message(), cold.status().message());
+  }
+  EXPECT_TRUE(stalled.Wait().ok());
+  FaultInjector::Global().Reset();
+  const UdaoServiceStats s = service.stats();
+  EXPECT_EQ(s.requests, 4);
+  EXPECT_EQ(s.cache_hits, 2);
+  EXPECT_EQ(s.cache_misses, 2);
+  EXPECT_EQ(s.errors, 3);
+}
+
+// Overload control runs before the inline path: with the queue full under
+// kReject, even a memoized hit is shed with Unavailable.
+TEST(UdaoServiceTest, FullQueueWithRejectPolicyShedsHitsToo) {
+  ModelServer server;
+  UdaoServiceConfig config = OneWorkerConfig();
+  config.max_queue_depth = 1;
+  config.shed_policy = ShedPolicy::kReject;
+  UdaoService service(&server, config);
+  ASSERT_TRUE(service.Submit(ConvexRequest()).Wait().ok());  // miss
+
+  RequestTicket stalled = StallWorker(&service, 0.9, 300.0);  // depth 1
+  const auto shed = service.Submit(ConvexRequest()).Wait();
+  ASSERT_FALSE(shed.ok());
+  EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(stalled.Wait().ok());
+  FaultInjector::Global().Reset();
+  const UdaoServiceStats s = service.stats();
+  EXPECT_EQ(s.sheds, 1);
+  EXPECT_EQ(s.errors, 1);
+  EXPECT_EQ(s.cache_hits, 0);
+  EXPECT_EQ(s.cache_misses, 2);
 }
 
 TEST(UdaoServiceTest, TicketTryGetPollsWithoutBlocking) {

@@ -2,21 +2,25 @@
 # Repo verification pipeline:
 #   1. tier 1         -- default (Release) configure/build/ctest, which also
 #                        runs udao_lint over src/
-#   2. metrics off    -- the suite with -DUDAO_METRICS=OFF -DUDAO_WERROR=ON:
+#   2. perfbench      -- python3 perfbench/test_perfbench.py: builds the
+#                        serving benchmark against src/ (it compiles against
+#                        UdaoService, Udao::Recommend and UdaoRecommendation)
+#                        and runs every workload briefly, untraced and traced
+#   3. metrics off    -- the suite with -DUDAO_METRICS=OFF -DUDAO_WERROR=ON:
 #                        instrumentation compiled out, stats() and every
 #                        request path still tested
-#   3. ASan+UBSan     -- the suite under -DCMAKE_BUILD_TYPE=Asan
-#   4. TSan           -- the suite under -DCMAKE_BUILD_TYPE=Tsan (includes
+#   4. ASan+UBSan     -- the suite under -DCMAKE_BUILD_TYPE=Asan
+#   5. TSan           -- the suite under -DCMAKE_BUILD_TYPE=Tsan (includes
 #                        race_stress_test, which hammers ThreadPool,
 #                        concurrent SolveBatch, and concurrent ModelServer
 #                        lookups)
-#   5. UBSan (strict) -- the suite under -DCMAKE_BUILD_TYPE=Ubsan:
+#   6. UBSan (strict) -- the suite under -DCMAKE_BUILD_TYPE=Ubsan:
 #                        -fsanitize=undefined,float-divide-by-zero with
 #                        -fno-sanitize-recover=all, so the first report
 #                        aborts the test. Stricter than the Asan combo
 #                        (float-divide-by-zero is not on there, and reports
 #                        there recover). Also run nightly.
-#   6. thread-safety  -- clang build of src/ with -Werror=thread-safety
+#   7. thread-safety  -- clang build of src/ with -Werror=thread-safety
 #                        (-DUDAO_THREAD_SAFETY=ON) checking every
 #                        GUARDED_BY / REQUIRES annotation in
 #                        src/common/sync.h users, plus the compile-failure
@@ -24,14 +28,14 @@
 #                        the gate can fire. Skipped with a notice when
 #                        clang++ is not installed (GCC has no such
 #                        analysis); CI always runs it.
-#   7. clang-tidy     -- tools/tidy.sh (skipped automatically when
+#   8. clang-tidy     -- tools/tidy.sh (skipped automatically when
 #                        clang-tidy is not installed)
 #
 # Usage: tools/check.sh [--tier1-only | --help]
 set -euo pipefail
 
 if [[ "${1:-}" == "--help" || "${1:-}" == "-h" ]]; then
-  sed -n '2,30p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,33p' "$0" | sed 's/^# \{0,1\}//'
   exit 0
 fi
 
@@ -48,6 +52,9 @@ ctest --test-dir build --output-on-failure -j
 if [[ "${1:-}" == "--tier1-only" ]]; then
   exit 0
 fi
+
+echo "== perfbench: benchmark self-test =="
+python3 perfbench/test_perfbench.py
 
 echo "== metrics off: -DUDAO_METRICS=OFF build + tests =="
 cmake -B build-metrics-off -S . -DUDAO_METRICS=OFF -DUDAO_WERROR=ON
