@@ -58,8 +58,7 @@ Vector Matrix::Apply(const Vector& v) const {
   const kernels::KernelTable* t = kernels::ActiveTable();
   for (int r = 0; r < rows_; ++r) {
     const double* row = RowPtr(r);
-    out[r] = cols_ == 128 ? t->dot128(row, v.data())
-                          : t->dot(row, v.data(), cols_);
+    out[r] = t->dot(row, v.data(), cols_);
   }
   return out;
 }

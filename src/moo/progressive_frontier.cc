@@ -177,8 +177,11 @@ void ProgressiveFrontier::Initialize(const StopToken& stop) {
     // User value constraints shrink the search box (Problem III.1).
     utopia[j] = std::max(utopia[j], problem_->UserLower(j));
     nadir[j] = std::min(nadir[j], problem_->UserUpper(j));
-    if (nadir[j] - utopia[j] < 1e-12) {
-      // Degenerate axis (constant objective): widen so volumes stay positive.
+    // Degenerate axis (constant objective): widen so volumes stay positive.
+    // An inverted axis (a bound outside the reachable range) stays inverted,
+    // so the box is empty below rather than a sliver past the bound.
+    const double width = nadir[j] - utopia[j];
+    if (width >= 0.0 && width < 1e-12) {
       nadir[j] = utopia[j] + std::max(1e-9, 1e-9 * std::abs(utopia[j]));
     }
   }
@@ -186,6 +189,13 @@ void ProgressiveFrontier::Initialize(const StopToken& stop) {
   result_.nadir = nadir;
   if (HyperrectVolume(utopia, nadir) <= 0.0) {
     box_empty_ = true;
+    // Reference solves cut short by `stop` may stop above an objective's
+    // true minimum, so the emptiness they imply is not proven: the result
+    // is degraded, not infeasible (and serving layers do not cache it).
+    if (stop.ShouldStop()) {
+      result_.degraded = true;
+      UDAO_METRIC_COUNTER_ADD("udao.pf.degraded_runs", 1);
+    }
     elapsed_s_ += SecondsSince(start);
     result_.uncertain_percent = 0.0;
     return;

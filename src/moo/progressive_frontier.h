@@ -99,8 +99,11 @@ class ProgressiveFrontier {
   /// best-so-far frontier with result().degraded == true. Initialization's
   /// reference-point solves always execute (stop-aware, so they finish in
   /// one iteration under an expired budget), which is what keeps even a
-  /// zero-budget frontier non-empty whenever the box is feasible. With the
-  /// default token this is bitwise-identical to Run(total_points).
+  /// zero-budget frontier non-empty whenever the box is feasible. An empty
+  /// box found after `stop` fired is degraded too, since cut-short reference
+  /// solves prove no infeasibility; later Runs on the same instance do not
+  /// redo them, so it stays degraded. With the default token this is
+  /// bitwise-identical to Run(total_points).
   const PfResult& Run(int total_points, const StopToken& stop);
 
   const PfResult& result() const { return result_; }

@@ -10,9 +10,10 @@
 //    FMA contraction on baseline x86-64), zero-coefficient skips in gemm_nn.
 //    Under UDAO_KERNEL=scalar the whole system is bitwise-identical to the
 //    pre-kernel code.
-//  - Within a backend, dot128 is bitwise-identical to dot(a, b, 128): the
-//    unrolled form preserves the generic accumulator structure and reduction
-//    order, only removing loop control.
+//  - Within a backend, layer_forward and gemm_nn are bitwise-identical to
+//    composing that backend's dot and axpy: the AVX2 register blocking only
+//    shares loads and keeps partial sums in registers; every output keeps
+//    its own accumulators, operations and operation order.
 //  - Across backends, results agree to a relative 1e-10 (kernel_parity_test
 //    uses 1e-12 headroom per element; DESIGN.md "Kernel layer" documents the
 //    contract). AVX2 reassociates dot sums (4 vector accumulators) and
@@ -53,24 +54,6 @@ double DotScalar(const double* a, const double* b, int n) {
   return acc;
 }
 
-// Same single dependency chain and order as DotScalar (so the result is
-// bitwise-identical); the unroll only amortizes loop control.
-UDAO_KERNEL_ALIGNED
-double Dot128Scalar(const double* a, const double* b) {
-  double acc = 0.0;
-  for (int i = 0; i < 128; i += 8) {
-    acc += a[i] * b[i];
-    acc += a[i + 1] * b[i + 1];
-    acc += a[i + 2] * b[i + 2];
-    acc += a[i + 3] * b[i + 3];
-    acc += a[i + 4] * b[i + 4];
-    acc += a[i + 5] * b[i + 5];
-    acc += a[i + 6] * b[i + 6];
-    acc += a[i + 7] * b[i + 7];
-  }
-  return acc;
-}
-
 // Elementwise, so vectorization cannot reassociate anything: each lane is an
 // independent mul+add, bitwise-identical to the sequential loop. This is the
 // portable-SIMD fallback lane of the kernel layer (no -mavx2 required).
@@ -88,10 +71,7 @@ void LayerForwardScalar(const double* in, int rows, int in_dim,
     const double* a = in + static_cast<size_t>(r) * in_dim;
     double* o = out + static_cast<size_t>(r) * out_dim;
     for (int c = 0; c < out_dim; ++c) {
-      double acc = in_dim == 128 ? Dot128Scalar(a, w + 128 * c)
-                                 : DotScalar(a, w + static_cast<size_t>(c) *
-                                                        in_dim,
-                                             in_dim);
+      double acc = DotScalar(a, w + static_cast<size_t>(c) * in_dim, in_dim);
       acc += bias[c];
       o[c] = (fuse == Fused::kBiasRelu && !(acc > 0.0)) ? 0.0 : acc;
     }
@@ -114,7 +94,7 @@ void GemmNnScalar(const double* a, int rows, int k, const double* b, int cols,
 }
 
 const KernelTable kScalarTable = {
-    Backend::kScalar, "scalar",     &DotScalar,   &Dot128Scalar,
+    Backend::kScalar, "scalar",           &DotScalar,
     &AxpyScalar,      &LayerForwardScalar, &GemmNnScalar,
 };
 
@@ -126,8 +106,8 @@ const KernelTable kScalarTable = {
 
 #if UDAO_KERNELS_X86
 
-// Reduction order shared by DotAvx2 and Dot128Avx2: (acc0+acc1)+(acc2+acc3),
-// then low lane pair + high lane pair, then the two scalars.
+// Reduction order of every AVX2 dot product: (acc0+acc1)+(acc2+acc3), then
+// low lane pair + high lane pair, then the two scalars.
 __attribute__((target("avx2,fma"))) inline double HorizontalSum(
     __m256d acc0, __m256d acc1, __m256d acc2, __m256d acc3) {
   const __m256d acc =
@@ -165,39 +145,6 @@ __attribute__((target("avx2,fma"))) double DotAvx2(const double* a,
   return acc;
 }
 
-// n == 128 fully unrolled: 8 blocks of 16, the exact iterations DotAvx2's
-// main loop performs for n = 128 (and no tail), so the result is
-// bitwise-identical to DotAvx2(a, b, 128).
-#define UDAO_DOT128_BLOCK(off)                                              \
-  acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + (off)),                        \
-                         _mm256_loadu_pd(b + (off)), acc0);                 \
-  acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + (off) + 4),                    \
-                         _mm256_loadu_pd(b + (off) + 4), acc1);             \
-  acc2 = _mm256_fmadd_pd(_mm256_loadu_pd(a + (off) + 8),                    \
-                         _mm256_loadu_pd(b + (off) + 8), acc2);             \
-  acc3 = _mm256_fmadd_pd(_mm256_loadu_pd(a + (off) + 12),                   \
-                         _mm256_loadu_pd(b + (off) + 12), acc3);
-
-UDAO_KERNEL_ALIGNED
-__attribute__((target("avx2,fma"))) double Dot128Avx2(const double* a,
-                                                      const double* b) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  UDAO_DOT128_BLOCK(0)
-  UDAO_DOT128_BLOCK(16)
-  UDAO_DOT128_BLOCK(32)
-  UDAO_DOT128_BLOCK(48)
-  UDAO_DOT128_BLOCK(64)
-  UDAO_DOT128_BLOCK(80)
-  UDAO_DOT128_BLOCK(96)
-  UDAO_DOT128_BLOCK(112)
-  return HorizontalSum(acc0, acc1, acc2, acc3);
-}
-
-#undef UDAO_DOT128_BLOCK
-
 UDAO_KERNEL_ALIGNED
 __attribute__((target("avx2,fma"))) void AxpyAvx2(double* dst,
                                                   const double* src,
@@ -213,42 +160,216 @@ __attribute__((target("avx2,fma"))) void AxpyAvx2(double* dst,
   for (; i < n; ++i) dst[i] = std::fma(src[i], scale, dst[i]);
 }
 
+// The register-blocked kernels below are DotAvx2 and AxpyAvx2 rearranged,
+// not approximated: each output element sees the same operations on the
+// same operands in the same order, so the blocking changes no bit. Their
+// helpers are forced inline so accumulators stay in named registers of the
+// calling kernel whatever the optimization level.
+
+// DotAvx2's vector part for two weight rows at once: each input load feeds
+// both rows' FMAs, and each row keeps DotAvx2's four accumulators and block
+// order. Returns each row's (acc0+acc1)+(acc2+acc3); the n % 4 tail is the
+// caller's.
+__attribute__((target("avx2,fma"), always_inline)) inline void DotPairAvx2(
+    const double* a, const double* w0, const double* w1, int n, __m256d* s0,
+    __m256d* s1) {
+  __m256d p0 = _mm256_setzero_pd();
+  __m256d p1 = _mm256_setzero_pd();
+  __m256d p2 = _mm256_setzero_pd();
+  __m256d p3 = _mm256_setzero_pd();
+  __m256d q0 = _mm256_setzero_pd();
+  __m256d q1 = _mm256_setzero_pd();
+  __m256d q2 = _mm256_setzero_pd();
+  __m256d q3 = _mm256_setzero_pd();
+  int i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m256d x0 = _mm256_loadu_pd(a + i);
+    const __m256d x1 = _mm256_loadu_pd(a + i + 4);
+    const __m256d x2 = _mm256_loadu_pd(a + i + 8);
+    const __m256d x3 = _mm256_loadu_pd(a + i + 12);
+    p0 = _mm256_fmadd_pd(x0, _mm256_loadu_pd(w0 + i), p0);
+    q0 = _mm256_fmadd_pd(x0, _mm256_loadu_pd(w1 + i), q0);
+    p1 = _mm256_fmadd_pd(x1, _mm256_loadu_pd(w0 + i + 4), p1);
+    q1 = _mm256_fmadd_pd(x1, _mm256_loadu_pd(w1 + i + 4), q1);
+    p2 = _mm256_fmadd_pd(x2, _mm256_loadu_pd(w0 + i + 8), p2);
+    q2 = _mm256_fmadd_pd(x2, _mm256_loadu_pd(w1 + i + 8), q2);
+    p3 = _mm256_fmadd_pd(x3, _mm256_loadu_pd(w0 + i + 12), p3);
+    q3 = _mm256_fmadd_pd(x3, _mm256_loadu_pd(w1 + i + 12), q3);
+  }
+  for (; i + 4 <= n; i += 4) {
+    const __m256d x = _mm256_loadu_pd(a + i);
+    p0 = _mm256_fmadd_pd(x, _mm256_loadu_pd(w0 + i), p0);
+    q0 = _mm256_fmadd_pd(x, _mm256_loadu_pd(w1 + i), q0);
+  }
+  *s0 = _mm256_add_pd(_mm256_add_pd(p0, p1), _mm256_add_pd(p2, p3));
+  *s1 = _mm256_add_pd(_mm256_add_pd(q0, q1), _mm256_add_pd(q2, q3));
+}
+
+// HorizontalSum's lane additions for four dot products at once: lane c of
+// the result is (s_c[0] + s_c[2]) + (s_c[1] + s_c[3]), operand for operand.
+__attribute__((target("avx2,fma"), always_inline)) inline __m256d
+HorizontalSum4(__m256d s0, __m256d s1, __m256d s2, __m256d s3) {
+  const __m256d s02 = _mm256_add_pd(_mm256_permute2f128_pd(s0, s2, 0x20),
+                                    _mm256_permute2f128_pd(s0, s2, 0x31));
+  const __m256d s13 = _mm256_add_pd(_mm256_permute2f128_pd(s1, s3, 0x20),
+                                    _mm256_permute2f128_pd(s1, s3, 0x31));
+  return _mm256_hadd_pd(s02, s13);
+}
+
+// Four outputs per step: two DotPairAvx2 passes share each input row's
+// loads, HorizontalSum4 finishes the four sums together, and bias + ReLU run
+// on the vector. in_dim % 4 tails finish per output as in DotAvx2, and
+// out_dim % 4 leftover outputs take DotAvx2 itself.
 UDAO_KERNEL_ALIGNED
 __attribute__((target("avx2,fma"))) void LayerForwardAvx2(
     const double* in, int rows, int in_dim, const double* w,
     const double* bias, int out_dim, Fused fuse, double* out) {
+  const size_t stride = static_cast<size_t>(in_dim);
+  const int vec_end = in_dim & ~3;
+  const __m256d zero = _mm256_setzero_pd();
   for (int r = 0; r < rows; ++r) {
-    const double* a = in + static_cast<size_t>(r) * in_dim;
+    const double* a = in + r * stride;
     double* o = out + static_cast<size_t>(r) * out_dim;
-    for (int c = 0; c < out_dim; ++c) {
-      double acc = in_dim == 128 ? Dot128Avx2(a, w + 128 * c)
-                                 : DotAvx2(a, w + static_cast<size_t>(c) *
-                                                      in_dim,
-                                           in_dim);
+    int c = 0;
+    for (; c + 4 <= out_dim; c += 4) {
+      const double* w0 = w + c * stride;
+      __m256d s0;
+      __m256d s1;
+      __m256d s2;
+      __m256d s3;
+      DotPairAvx2(a, w0, w0 + stride, in_dim, &s0, &s1);
+      DotPairAvx2(a, w0 + 2 * stride, w0 + 3 * stride, in_dim, &s2, &s3);
+      __m256d acc = HorizontalSum4(s0, s1, s2, s3);
+      if (vec_end < in_dim) {
+        alignas(32) double sum[4];
+        _mm256_store_pd(sum, acc);
+        for (int j = 0; j < 4; ++j) {
+          const double* wj = w0 + j * stride;
+          for (int i = vec_end; i < in_dim; ++i) {
+            sum[j] = std::fma(a[i], wj[i], sum[j]);
+          }
+        }
+        acc = _mm256_load_pd(sum);
+      }
+      acc = _mm256_add_pd(acc, _mm256_loadu_pd(bias + c));
+      if (fuse == Fused::kBiasRelu) {
+        // !(acc > 0.0) ? 0.0 : acc per lane: the ordered compare is false
+        // for NaN, and the and-mask yields +0.0 for -0.0.
+        acc = _mm256_and_pd(acc, _mm256_cmp_pd(acc, zero, _CMP_GT_OQ));
+      }
+      _mm256_storeu_pd(o + c, acc);
+    }
+    for (; c < out_dim; ++c) {
+      double acc = DotAvx2(a, w + c * stride, in_dim);
       acc += bias[c];
       o[c] = (fuse == Fused::kBiasRelu && !(acc > 0.0)) ? 0.0 : acc;
     }
   }
 }
 
+// V vectors (4 * V columns) of one output row, held in registers across the
+// whole k loop: AxpyAvx2's fma(b[k][j], a_ik, acc) per element in k order,
+// with the same a_ik == 0.0 skips, stored once at the end.
+template <int V>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+GemmRowBlockAvx2(const double* a_row, int k, const double* b, int cols,
+                 double* out_row) {
+  static_assert(V >= 1 && V <= 8, "one block holds 1 to 8 vectors");
+  __m256d c0 = _mm256_setzero_pd();
+  __m256d c1 = _mm256_setzero_pd();
+  __m256d c2 = _mm256_setzero_pd();
+  __m256d c3 = _mm256_setzero_pd();
+  __m256d c4 = _mm256_setzero_pd();
+  __m256d c5 = _mm256_setzero_pd();
+  __m256d c6 = _mm256_setzero_pd();
+  __m256d c7 = _mm256_setzero_pd();
+  for (int kk = 0; kk < k; ++kk) {
+    const double a_ik = a_row[kk];
+    if (a_ik == 0.0) continue;
+    const __m256d va = _mm256_set1_pd(a_ik);
+    const double* bk = b + static_cast<size_t>(kk) * cols;
+    c0 = _mm256_fmadd_pd(_mm256_loadu_pd(bk), va, c0);
+    if constexpr (V > 1) c1 = _mm256_fmadd_pd(_mm256_loadu_pd(bk + 4), va, c1);
+    if constexpr (V > 2) c2 = _mm256_fmadd_pd(_mm256_loadu_pd(bk + 8), va, c2);
+    if constexpr (V > 3) {
+      c3 = _mm256_fmadd_pd(_mm256_loadu_pd(bk + 12), va, c3);
+    }
+    if constexpr (V > 4) {
+      c4 = _mm256_fmadd_pd(_mm256_loadu_pd(bk + 16), va, c4);
+    }
+    if constexpr (V > 5) {
+      c5 = _mm256_fmadd_pd(_mm256_loadu_pd(bk + 20), va, c5);
+    }
+    if constexpr (V > 6) {
+      c6 = _mm256_fmadd_pd(_mm256_loadu_pd(bk + 24), va, c6);
+    }
+    if constexpr (V > 7) {
+      c7 = _mm256_fmadd_pd(_mm256_loadu_pd(bk + 28), va, c7);
+    }
+  }
+  _mm256_storeu_pd(out_row, c0);
+  if constexpr (V > 1) _mm256_storeu_pd(out_row + 4, c1);
+  if constexpr (V > 2) _mm256_storeu_pd(out_row + 8, c2);
+  if constexpr (V > 3) _mm256_storeu_pd(out_row + 12, c3);
+  if constexpr (V > 4) _mm256_storeu_pd(out_row + 16, c4);
+  if constexpr (V > 5) _mm256_storeu_pd(out_row + 20, c5);
+  if constexpr (V > 6) _mm256_storeu_pd(out_row + 24, c6);
+  if constexpr (V > 7) _mm256_storeu_pd(out_row + 28, c7);
+}
+
+// Each output row in column blocks of 8 vectors, then one block of the
+// remaining 1 to 7 vectors (one k pass each: the pass count, not the FMA
+// count, dominates), then the cols % 4 tail through AxpyAvx2 itself.
 UDAO_KERNEL_ALIGNED
 __attribute__((target("avx2,fma"))) void GemmNnAvx2(const double* a, int rows,
                                                     int k, const double* b,
                                                     int cols, double* out) {
   for (int i = 0; i < rows; ++i) {
-    double* out_row = out + static_cast<size_t>(i) * cols;
-    for (int j = 0; j < cols; ++j) out_row[j] = 0.0;
     const double* a_row = a + static_cast<size_t>(i) * k;
+    double* out_row = out + static_cast<size_t>(i) * cols;
+    int j = 0;
+    for (; j + 32 <= cols; j += 32) {
+      GemmRowBlockAvx2<8>(a_row, k, b + j, cols, out_row + j);
+    }
+    switch ((cols - j) / 4) {
+      case 7:
+        GemmRowBlockAvx2<7>(a_row, k, b + j, cols, out_row + j);
+        break;
+      case 6:
+        GemmRowBlockAvx2<6>(a_row, k, b + j, cols, out_row + j);
+        break;
+      case 5:
+        GemmRowBlockAvx2<5>(a_row, k, b + j, cols, out_row + j);
+        break;
+      case 4:
+        GemmRowBlockAvx2<4>(a_row, k, b + j, cols, out_row + j);
+        break;
+      case 3:
+        GemmRowBlockAvx2<3>(a_row, k, b + j, cols, out_row + j);
+        break;
+      case 2:
+        GemmRowBlockAvx2<2>(a_row, k, b + j, cols, out_row + j);
+        break;
+      case 1:
+        GemmRowBlockAvx2<1>(a_row, k, b + j, cols, out_row + j);
+        break;
+      default:
+        break;
+    }
+    const int tail = cols & ~3;
+    if (tail == cols) continue;
+    for (j = tail; j < cols; ++j) out_row[j] = 0.0;
     for (int kk = 0; kk < k; ++kk) {
       const double a_ik = a_row[kk];
       if (a_ik == 0.0) continue;
-      AxpyAvx2(out_row, b + static_cast<size_t>(kk) * cols, a_ik, cols);
+      AxpyAvx2(out_row + tail, b + static_cast<size_t>(kk) * cols + tail, a_ik,
+               cols - tail);
     }
   }
 }
 
 const KernelTable kAvx2Table = {
-    Backend::kAvx2, "avx2",            &DotAvx2,    &Dot128Avx2,
+    Backend::kAvx2, "avx2",            &DotAvx2,
     &AxpyAvx2,      &LayerForwardAvx2, &GemmNnAvx2,
 };
 

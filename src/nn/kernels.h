@@ -23,8 +23,8 @@ enum class Backend {
   /// products stay a single sequential accumulation chain.
   kScalar,
   /// AVX2+FMA intrinsics (x86-64 only): 4-accumulator dot products, fused
-  /// multiply-add axpy, and a fully-unrolled 128-wide dot for the paper's
-  /// 4x128 ReLU topology. Requires CpuSupportsAvx2().
+  /// multiply-add axpy, and register-blocked layer_forward and gemm_nn
+  /// built from them. Requires CpuSupportsAvx2().
   kAvx2,
 };
 
@@ -42,28 +42,23 @@ enum class Fused {
 struct KernelTable {
   Backend backend;
   const char* name;
-  /// Generic dot product (no 128-specialization dispatch; use kernels::Dot
-  /// for the dispatched form).
+  /// Dot product of a[0, n) and b[0, n).
   double (*dot)(const double* a, const double* b, int n);
-  /// Fully-unrolled dot for n == 128, the hidden width of the paper's
-  /// largest model. Bitwise-identical to dot(a, b, 128) of the same backend
-  /// by construction (same accumulator structure and reduction order);
-  /// kernel_parity_test pins that equality.
-  double (*dot128)(const double* a, const double* b);
   /// dst[i] += scale * src[i] for i in [0, n).
   void (*axpy)(double* dst, const double* src, double scale, int n);
-  /// Fused dense layer: for each of `rows` input rows,
-  ///   out[r][c] = fuse(dot(in_row, w_row_c) + bias[c])
-  /// with w in [out_dim, in_dim] row-major ([fan_out, fan_in] weights).
-  /// Uses the backend's dot (dot128 when in_dim == 128 -- the specialized
-  /// 4x128 path is selected here whenever the model shape matches).
+  /// Fused dense layer, w in [out_dim, in_dim] row-major ([fan_out, fan_in]
+  /// weights). Every element equals, bit for bit, the same backend's
+  ///   z = dot(in_row_r, w_row_c, in_dim); z += bias[c];
+  ///   out[r][c] = (kBiasRelu && !(z > 0.0)) ? 0.0 : z
+  /// so a row's outputs do not depend on the rows or outputs that share the
+  /// call.
   void (*layer_forward)(const double* in, int rows, int in_dim,
                         const double* w, const double* bias, int out_dim,
                         Fused fuse, double* out);
-  /// out[rows, cols] = a[rows, k] * b[k, cols]. Zeroes out first, then
-  /// accumulates via axpy in k order, skipping a[i][kk] == 0.0 terms -- the
-  /// exact semantics (and, per element, the exact operation order) of the
-  /// pre-kernel Matrix::Multiply / ApplyTranspose loops, which is what keeps
+  /// out[rows, cols] = a[rows, k] * b[k, cols]. Every output row equals, bit
+  /// for bit, the same backend's zero-filled row followed by
+  ///   for kk in [0, k): if (a[i][kk] != 0.0) axpy(out_i, b_kk, a[i][kk])
+  /// -- the pre-kernel Matrix::Multiply / ApplyTranspose order, which keeps
   /// batched backprop bitwise-equal to a per-sample loop within a backend.
   void (*gemm_nn)(const double* a, int rows, int k, const double* b, int cols,
                   double* out);
@@ -109,8 +104,7 @@ class ScopedBackendForTesting {
 /// Dispatched conveniences over ActiveTable(). Hot loops that issue many
 /// calls should hoist `const KernelTable* t = ActiveTable()` instead.
 inline double Dot(const double* a, const double* b, int n) {
-  const KernelTable* t = ActiveTable();
-  return n == 128 ? t->dot128(a, b) : t->dot(a, b, n);
+  return ActiveTable()->dot(a, b, n);
 }
 
 inline void Axpy(double* dst, const double* src, double scale, int n) {

@@ -49,8 +49,7 @@ const double* Mlp::ForwardArena(const Matrix& x, kernels::KernelArena* arena,
     // out = fuse(cur * W^T + bias): one fused layer kernel for the whole
     // batch. Per output element the kernel performs dot, then + bias, then
     // the activation, so a row's outputs are the same whatever else shares
-    // its batch. The kernel picks the fully-unrolled 128-wide dot whenever
-    // fan_in == 128 (the paper's 4x128 topology).
+    // its batch.
     const Layer& layer = layers_[l];
     const int fan_in = layer.w.cols();
     const int fan_out = layer.w.rows();

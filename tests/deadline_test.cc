@@ -5,8 +5,11 @@
 // silent empty result -- when the budget dies at the worst possible moment.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <memory>
+#include <thread>
 
 #include "common/deadline.h"
 #include "common/fault_injector.h"
@@ -250,6 +253,43 @@ TEST(DeadlineSolveTest, ZeroBudgetOptimizeAnswersDegraded) {
   EXPECT_FALSE(rec->conf_raw.empty());
 }
 
+// The minimum of f1 = x0 + x1 that PF's reference solves report under a
+// fired token (one Adam iteration each). The true minimum is 0; this one
+// lies above it.
+double CutShortF1Minimum(const PfConfig& config) {
+  const MooProblem problem = testing_problems::ConvexProblem();
+  ProgressiveFrontier pf(&problem, config);
+  return pf.Run(1, StopToken(Deadline::AfterMs(0.0))).utopia[0];
+}
+
+// A bound between the cut-short minimum and the true one: the box is empty
+// only because the budget cut the reference solves short, so the answer is
+// degraded (DeadlineExceeded), not infeasible (FailedPrecondition).
+TEST(DeadlineSolveTest, EmptyBoxFromCutShortSolvesIsDegraded) {
+  const SolverOptions options = FastOptions();
+  const double cut_short_min = CutShortF1Minimum(options.pf);
+  ASSERT_GT(cut_short_min, 0.01);
+  UdaoRequest request = ConvexRequest();
+  request.objectives[0].upper = cut_short_min / 2;
+  const MooProblem bounded(request.space, request.objectives);
+
+  ProgressiveFrontier expired(&bounded, options.pf);
+  const PfResult& cut = expired.Run(8, StopToken(Deadline::AfterMs(0.0)));
+  EXPECT_TRUE(cut.frontier.empty());
+  EXPECT_TRUE(cut.degraded);
+  ProgressiveFrontier unbudgeted(&bounded, options.pf);
+  const PfResult& full = unbudgeted.Run(8);
+  EXPECT_FALSE(full.frontier.empty());
+  EXPECT_FALSE(full.degraded);
+
+  ModelServer server;
+  Udao optimizer(&server, options);
+  request.options.deadline = Deadline::AfterMs(0.0);
+  const auto rec = optimizer.Optimize(request);
+  ASSERT_FALSE(rec.ok());
+  EXPECT_EQ(rec.status().code(), StatusCode::kDeadlineExceeded);
+}
+
 TEST(DeadlineServiceTest, ExpiredBudgetNeverReachesTheSolver) {
   // A request whose budget is already dead at dequeue is failed by the
   // admission queue itself: no miss is counted because Handle never runs --
@@ -305,6 +345,44 @@ TEST(DeadlineServiceTest, DegradedFrontiersAreNeverCached) {
   EXPECT_EQ(s.cache_hits, 0);
   EXPECT_EQ(s.degraded, 1);
   EXPECT_EQ(s.errors, 0);
+}
+
+// The service form of EmptyBoxFromCutShortSolvesIsDegraded: the verdict of
+// cut-short reference solves must not be cached, or every later request for
+// the key would read "infeasible" for a feasible bound.
+TEST(DeadlineServiceTest, EmptyBoxFromCutShortSolvesIsNotCached) {
+  ModelServer server;
+  UdaoServiceConfig config;
+  config.udao = FastOptions();
+  config.admission_threads = 2;
+  UdaoService service(&server, config);
+
+  // f1's first evaluation stalls past the budget, so the request clears
+  // the admission queue and its reference solves then run under a fired
+  // token.
+  auto stalled = std::make_shared<std::atomic<bool>>(false);
+  UdaoRequest request = ConvexRequest();
+  request.objectives[0].model = std::make_shared<CallableModel>(
+      "f1", 2, [stalled](const Vector& x) {
+        if (!stalled->exchange(true)) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(500));
+        }
+        return x[0] + x[1];
+      });
+  request.objectives[0].upper = CutShortF1Minimum(config.udao.pf) / 2;
+  UdaoRequest budgeted = request;
+  budgeted.options.deadline = Deadline::AfterMs(250.0);
+  const auto cut = service.Submit(budgeted).Wait();
+  ASSERT_FALSE(cut.ok());
+  EXPECT_EQ(cut.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(service.CacheSize(), 0);
+
+  // The same key without a budget finds the bound feasible.
+  const auto full = service.Submit(request).Wait();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_FALSE(full->frontier.frontier.empty());
+  EXPECT_EQ(service.CacheSize(), 1);
+  EXPECT_EQ(service.stats().cache_misses, 2);
 }
 
 // ----------------------------------------------------- options fingerprint

@@ -1,8 +1,9 @@
 // Parity contracts of the dispatched dense-kernel layer (nn/kernels.h):
 //
-//  * within one backend, dot(a, b, 128) is bitwise-equal to the unrolled
-//    dot128 (the 4x128-topology fast path), and the fused layer_forward is
-//    bitwise-equal to composing dot + bias + relu by hand;
+//  * within one backend, the fused layer_forward is bitwise-equal to
+//    composing dot + bias + relu by hand, and gemm_nn to the per-row axpy
+//    loop with zero-coefficient skips, on every shape class the
+//    register-blocked AVX2 kernels split into (block, tail, leftover);
 //  * across backends, every primitive and the batched MLP entry points built
 //    on them (PredictBatch / GradientBatch) agree to a tight relative
 //    tolerance -- AVX2's multi-accumulator reductions and FMA contraction
@@ -17,6 +18,7 @@
 //    emptied arena merges its grown slab chain into one slab.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -83,45 +85,157 @@ TEST(KernelParityTest, ActiveBackendHonorsEnvironment) {
   EXPECT_EQ(kernels::ActiveTable()->backend, kernels::ActiveBackend());
 }
 
-// dot128 is the specialized kernel the 4x128 topology rides on; each backend
-// promises it is bitwise-identical to its generic dot at n == 128.
-TEST(KernelParityTest, Dot128MatchesGenericDotBitwise) {
-  for (Backend backend : SupportedBackends()) {
-    const KernelTable* t = kernels::TableForBackend(backend);
-    for (uint64_t seed = 0; seed < 8; ++seed) {
-      const Vector a = RandomVector(128, 1000 + seed);
-      const Vector b = RandomVector(128, 2000 + seed);
-      EXPECT_EQ(t->dot(a.data(), b.data(), 128), t->dot128(a.data(), b.data()))
-          << t->name << " seed " << seed;
-    }
+// Shapes for the bitwise kernel checks: every row count up to one past the
+// MOGD batch of 8, and in/out widths around the AVX2 blocking boundaries
+// (4-wide vectors, 16-wide dot blocks, 4-output groups, 8-vector column
+// blocks), plus the served 12-64-64-1 and paper 4x128 layer widths.
+constexpr int kShapeInDims[] = {1,  3,  4,  5,  7,  12,  15,
+                                16, 17, 31, 64, 65, 128, 129};
+constexpr int kShapeOutDims[] = {1, 3, 4, 5, 8, 9, 64, 65};
+// gemm_nn column counts: a column block of each width from 1 to 8 vectors
+// (4 to 32 columns), with and without a cols % 4 tail, and rows spanning
+// more than one 8-vector block.
+constexpr int kShapeGemmCols[] = {1,  3,  4,  5,  8,  9,  12, 16, 17,
+                                  20, 24, 28, 31, 32, 33, 44, 64, 65};
+constexpr int kShapeMaxRows = 9;
+
+// Random values in [-1, 1) where about one in six is an exact 0.0 and one in
+// six an exact -0.0, so zero skips and signed-zero arithmetic are exercised.
+Vector RandomWithZeros(int n, uint64_t seed) {
+  Rng rng(seed);
+  Vector v(n);
+  for (double& x : v) {
+    const double u = rng.Uniform();
+    x = u < 1.0 / 6.0 ? 0.0 : u < 2.0 / 6.0 ? -0.0 : rng.Uniform() * 2.0 - 1.0;
   }
+  return v;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 // The fused layer kernel must be exactly dot + bias + relu of the same
 // backend -- that is what keeps batched and scalar MLP paths bitwise-equal
-// within a backend.
+// within a backend. Compared by bits, so -0.0 against +0.0 fails; buffers
+// start one double past the vector's start as well as at it.
 TEST(KernelParityTest, LayerForwardMatchesComposedPrimitivesBitwise) {
-  const int rows = 5;
   for (Backend backend : SupportedBackends()) {
     const KernelTable* t = kernels::TableForBackend(backend);
-    for (int in_dim : {7, 128}) {
-      const int out_dim = 9;
-      const Vector in = RandomVector(rows * in_dim, 42);
-      const Vector w = RandomVector(out_dim * in_dim, 43);
-      const Vector bias = RandomVector(out_dim, 44);
-      Vector fused(rows * out_dim);
-      t->layer_forward(in.data(), rows, in_dim, w.data(), bias.data(),
-                       out_dim, Fused::kBiasRelu, fused.data());
-      for (int r = 0; r < rows; ++r) {
+    for (int in_dim : kShapeInDims) {
+      for (int out_dim : kShapeOutDims) {
+        const int max_in = kShapeMaxRows * in_dim;
+        const Vector in_buf = RandomWithZeros(max_in + 1, 42 + in_dim);
+        const Vector w_buf =
+            RandomWithZeros(out_dim * in_dim + 1, 43 + out_dim);
+        Vector bias_buf = RandomWithZeros(out_dim + 1, 44);
+        for (int offset : {0, 1}) {
+          const double* w = w_buf.data() + offset;
+          const double* bias = bias_buf.data() + offset;
+          for (int rows = 1; rows <= kShapeMaxRows; ++rows) {
+            const double* in = in_buf.data() + offset;
+            for (Fused fuse : {Fused::kBias, Fused::kBiasRelu}) {
+              Vector out_buf(rows * out_dim + 1);
+              double* out = out_buf.data() + offset;
+              t->layer_forward(in, rows, in_dim, w, bias, out_dim, fuse, out);
+              for (int r = 0; r < rows; ++r) {
+                for (int c = 0; c < out_dim; ++c) {
+                  const double* row = in + static_cast<size_t>(r) * in_dim;
+                  const double* wr = w + static_cast<size_t>(c) * in_dim;
+                  double z = t->dot(row, wr, in_dim);
+                  z += bias[c];
+                  if (fuse == Fused::kBiasRelu && !(z > 0.0)) z = 0.0;
+                  ASSERT_TRUE(SameBits(out[r * out_dim + c], z))
+                      << t->name << " rows " << rows << " in_dim " << in_dim
+                      << " out_dim " << out_dim << " offset " << offset
+                      << " relu " << (fuse == Fused::kBiasRelu) << " r " << r
+                      << " c " << c << ": " << out[r * out_dim + c] << " vs "
+                      << z;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Signed zeros that survive the arithmetic: a product below the smallest
+// subnormal rounds to -0.0, and -0.0 accumulators stay -0.0 where no +0.0
+// joins them (in AVX2, dots whose four accumulators all take products).
+// Plus a -0.0 bias, the kBias output is then -0.0, which ReLU must turn
+// into +0.0; bit comparison against the composed primitives checks both.
+TEST(KernelParityTest, LayerForwardKeepsSignedZerosBitwise) {
+  int negative_zeros = 0;
+  for (Backend backend : SupportedBackends()) {
+    const KernelTable* t = kernels::TableForBackend(backend);
+    for (int in_dim : kShapeInDims) {
+      const int out_dim = 5;
+      const Vector in(in_dim, 1e-200);
+      const Vector w(static_cast<size_t>(out_dim) * in_dim, -1e-200);
+      const Vector bias(out_dim, -0.0);
+      for (Fused fuse : {Fused::kBias, Fused::kBiasRelu}) {
+        Vector out(out_dim);
+        t->layer_forward(in.data(), 1, in_dim, w.data(), bias.data(), out_dim,
+                         fuse, out.data());
         for (int c = 0; c < out_dim; ++c) {
-          const double* row = in.data() + static_cast<size_t>(r) * in_dim;
-          const double* wr = w.data() + static_cast<size_t>(c) * in_dim;
-          double z = in_dim == 128 ? t->dot128(row, wr)
-                                   : t->dot(row, wr, in_dim);
+          double z = t->dot(in.data(), w.data() + c * in_dim, in_dim);
           z += bias[c];
-          z = z > 0.0 ? z : 0.0;
-          EXPECT_EQ(fused[r * out_dim + c], z)
-              << t->name << " in_dim " << in_dim << " r " << r << " c " << c;
+          if (fuse == Fused::kBiasRelu && !(z > 0.0)) z = 0.0;
+          negative_zeros += SameBits(z, -0.0) ? 1 : 0;
+          EXPECT_TRUE(SameBits(out[c], z))
+              << t->name << " in_dim " << in_dim << " c " << c << " relu "
+              << (fuse == Fused::kBiasRelu);
+        }
+      }
+    }
+  }
+  // The AVX2 dots at in_dim >= 16 end in -0.0, so the case is not vacuous.
+  if (kernels::CpuSupportsAvx2()) {
+    EXPECT_GT(negative_zeros, 0);
+  }
+}
+
+// gemm_nn must be exactly Matrix::ApplyTranspose's order per output row:
+// zero the row, then axpy each b row scaled by a nonzero a[i][kk], in kk
+// order. Row 1 of `a` is all exact zeros (alternating signs), so that row
+// must come out as +0.0 everywhere.
+TEST(KernelParityTest, GemmNnMatchesPerRowAxpyLoopBitwise) {
+  for (Backend backend : SupportedBackends()) {
+    const KernelTable* t = kernels::TableForBackend(backend);
+    for (int k : kShapeInDims) {
+      for (int cols : kShapeGemmCols) {
+        Vector a_buf = RandomWithZeros(kShapeMaxRows * k + 1, 45 + k);
+        const Vector b_buf = RandomWithZeros(k * cols + 1, 46 + cols);
+        for (int offset : {0, 1}) {
+          double* a_zero_row = a_buf.data() + offset + k;
+          for (int kk = 0; kk < k; ++kk) {
+            a_zero_row[kk] = kk % 2 == 0 ? 0.0 : -0.0;
+          }
+          const double* a = a_buf.data() + offset;
+          const double* b = b_buf.data() + offset;
+          for (int rows = 1; rows <= kShapeMaxRows; ++rows) {
+            Vector out_buf(rows * cols + 1);
+            double* out = out_buf.data() + offset;
+            t->gemm_nn(a, rows, k, b, cols, out);
+            Vector want(cols);
+            for (int i = 0; i < rows; ++i) {
+              std::fill(want.begin(), want.end(), 0.0);
+              for (int kk = 0; kk < k; ++kk) {
+                const double a_ik = a[static_cast<size_t>(i) * k + kk];
+                if (a_ik == 0.0) continue;
+                t->axpy(want.data(), b + static_cast<size_t>(kk) * cols, a_ik,
+                        cols);
+              }
+              for (int j = 0; j < cols; ++j) {
+                ASSERT_TRUE(SameBits(out[i * cols + j], want[j]))
+                    << t->name << " rows " << rows << " k " << k << " cols "
+                    << cols << " offset " << offset << " i " << i << " j "
+                    << j << ": " << out[i * cols + j] << " vs " << want[j];
+              }
+            }
+          }
         }
       }
     }
@@ -183,7 +297,7 @@ Mlp MakeMlp(const std::vector<int>& sizes, Activation act, uint64_t seed) {
 
 // The end-to-end contract the CI parity matrix enforces: the batched MLP
 // entry points agree across backends on random shapes and on the paper's
-// 4x128 ReLU topology (which exercises the unrolled dot128 path).
+// 4x128 ReLU topology.
 TEST(KernelParityTest, MlpBatchPathsAgreeAcrossBackends) {
   if (!kernels::CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this host";
   struct Case {

@@ -168,16 +168,51 @@ TEST(PfTest, UserConstraintsRestrictTheFrontier) {
   auto f2 = std::make_shared<CallableModel>("f2", 2, [](const Vector& x) {
     return (1.0 - x[0]) * (1.0 - x[0]) + x[1];
   });
-  ObjectiveSpec o1{"f1", f1};
-  o1.lower = 0.3;
-  o1.upper = 0.7;
-  ObjectiveSpec o2{"f2", f2};
-  MooProblem problem(&testing_problems::UnitSpace2(), {o1, o2});
+  // f1 spans [0, 2]. The last bound lies below that range, so it inverts
+  // the f1 axis of the box: nothing satisfies it, and the frontier is empty.
+  struct Bounds {
+    double lower;
+    double upper;
+    bool feasible;
+  };
+  for (const Bounds& bounds :
+       {Bounds{0.3, 0.7, true}, Bounds{-ObjectiveSpec::kInf, -1.0, false}}) {
+    ObjectiveSpec o1{"f1", f1};
+    o1.lower = bounds.lower;
+    o1.upper = bounds.upper;
+    ObjectiveSpec o2{"f2", f2};
+    MooProblem problem(&testing_problems::UnitSpace2(), {o1, o2});
+    ProgressiveFrontier pf(&problem, FastSequential());
+    const PfResult& result = pf.Run(8);
+    EXPECT_EQ(result.frontier.empty(), !bounds.feasible)
+        << "f1 in [" << bounds.lower << ", " << bounds.upper << "]";
+    // The search box never reaches past the bounds.
+    EXPECT_GE(result.utopia[0], bounds.lower);
+    EXPECT_LE(result.nadir[0], bounds.upper);
+    for (const MooPoint& p : result.frontier) {
+      EXPECT_GE(p.objectives[0], bounds.lower - 0.02);
+      EXPECT_LE(p.objectives[0], bounds.upper + 0.02);
+    }
+  }
+}
+
+// A constant objective collapses its box axis to a point; PF widens that
+// axis so the box keeps a volume, and the frontier is the other objective's
+// minimum at the constant's value.
+TEST(PfTest, ConstantObjectiveStillYieldsAFrontier) {
+  auto f1 = std::make_shared<CallableModel>(
+      "f1", 2, [](const Vector& x) { return x[0] + x[1]; });
+  auto f2 = std::make_shared<CallableModel>(
+      "f2", 2, [](const Vector&) { return 0.5; });
+  MooProblem problem(&testing_problems::UnitSpace2(),
+                     {ObjectiveSpec{"f1", f1}, ObjectiveSpec{"f2", f2}});
   ProgressiveFrontier pf(&problem, FastSequential());
-  const PfResult& result = pf.Run(8);
+  const PfResult& result = pf.Run(4);
+  ASSERT_FALSE(result.frontier.empty());
+  EXPECT_GT(result.nadir[1], result.utopia[1]);
   for (const MooPoint& p : result.frontier) {
-    EXPECT_GE(p.objectives[0], 0.3 - 0.02);
-    EXPECT_LE(p.objectives[0], 0.7 + 0.02);
+    EXPECT_EQ(p.objectives[1], 0.5);
+    EXPECT_LE(p.objectives[0], 0.02);
   }
 }
 

@@ -626,6 +626,23 @@ TEST(UdaoServiceTest, CachedInfeasibleKeyFailsInline) {
   EXPECT_EQ(s.errors, 3);
 }
 
+// A bound below an objective's reachable range (f1 = x0 + x1 >= 0) leaves
+// PF no box to search, so both the plain optimizer and the service answer
+// FailedPrecondition instead of a point past the request's own bound.
+TEST(UdaoServiceTest, BoundOutsideReachableRangeFails) {
+  ModelServer server;
+  UdaoRequest request = ConvexRequest();
+  request.objectives[0].upper = -1.0;
+  Udao direct(&server, FastOptions());
+  const auto plain = direct.Optimize(request);
+  ASSERT_FALSE(plain.ok());
+  EXPECT_EQ(plain.status().code(), StatusCode::kFailedPrecondition);
+  UdaoService service(&server, FastServiceConfig());
+  const auto served = service.Submit(request).Wait();
+  ASSERT_FALSE(served.ok());
+  EXPECT_EQ(served.status().code(), StatusCode::kFailedPrecondition);
+}
+
 // Overload control runs before the inline path: with the queue full under
 // kReject, even a memoized hit is shed with Unavailable.
 TEST(UdaoServiceTest, FullQueueWithRejectPolicyShedsHitsToo) {

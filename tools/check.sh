@@ -2,25 +2,31 @@
 # Repo verification pipeline:
 #   1. tier 1         -- default (Release) configure/build/ctest, which also
 #                        runs udao_lint over src/
-#   2. perfbench      -- python3 perfbench/test_perfbench.py: builds the
+#   2. kernel parity  -- tools/kernel_parity.sh scalar, then avx2, over the
+#                        tier-1 build: the numeric-contract suites with
+#                        UDAO_KERNEL pinned to each backend (CI's
+#                        kernel-parity job runs the same script). The avx2
+#                        leg is skipped with a notice on a CPU without
+#                        AVX2+FMA.
+#   3. perfbench      -- python3 perfbench/test_perfbench.py: builds the
 #                        serving benchmark against src/ (it compiles against
 #                        UdaoService, Udao::Recommend and UdaoRecommendation)
 #                        and runs every workload briefly, untraced and traced
-#   3. metrics off    -- the suite with -DUDAO_METRICS=OFF -DUDAO_WERROR=ON:
+#   4. metrics off    -- the suite with -DUDAO_METRICS=OFF -DUDAO_WERROR=ON:
 #                        instrumentation compiled out, stats() and every
 #                        request path still tested
-#   4. ASan+UBSan     -- the suite under -DCMAKE_BUILD_TYPE=Asan
-#   5. TSan           -- the suite under -DCMAKE_BUILD_TYPE=Tsan (includes
+#   5. ASan+UBSan     -- the suite under -DCMAKE_BUILD_TYPE=Asan
+#   6. TSan           -- the suite under -DCMAKE_BUILD_TYPE=Tsan (includes
 #                        race_stress_test, which hammers ThreadPool,
 #                        concurrent SolveBatch, and concurrent ModelServer
 #                        lookups)
-#   6. UBSan (strict) -- the suite under -DCMAKE_BUILD_TYPE=Ubsan:
+#   7. UBSan (strict) -- the suite under -DCMAKE_BUILD_TYPE=Ubsan:
 #                        -fsanitize=undefined,float-divide-by-zero with
 #                        -fno-sanitize-recover=all, so the first report
 #                        aborts the test. Stricter than the Asan combo
 #                        (float-divide-by-zero is not on there, and reports
 #                        there recover). Also run nightly.
-#   7. thread-safety  -- clang build of src/ with -Werror=thread-safety
+#   8. thread-safety  -- clang build of src/ with -Werror=thread-safety
 #                        (-DUDAO_THREAD_SAFETY=ON) checking every
 #                        GUARDED_BY / REQUIRES annotation in
 #                        src/common/sync.h users, plus the compile-failure
@@ -28,14 +34,14 @@
 #                        the gate can fire. Skipped with a notice when
 #                        clang++ is not installed (GCC has no such
 #                        analysis); CI always runs it.
-#   8. clang-tidy     -- tools/tidy.sh (skipped automatically when
+#   9. clang-tidy     -- tools/tidy.sh (skipped automatically when
 #                        clang-tidy is not installed)
 #
 # Usage: tools/check.sh [--tier1-only | --help]
 set -euo pipefail
 
 if [[ "${1:-}" == "--help" || "${1:-}" == "-h" ]]; then
-  sed -n '2,33p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,/^# Usage:/p' "$0" | sed 's/^# \{0,1\}//'
   exit 0
 fi
 
@@ -51,6 +57,16 @@ ctest --test-dir build --output-on-failure -j
 
 if [[ "${1:-}" == "--tier1-only" ]]; then
   exit 0
+fi
+
+echo "== kernel parity: numeric suites per backend =="
+tools/kernel_parity.sh scalar build
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null &&
+   grep -qw fma /proc/cpuinfo 2>/dev/null; then
+  tools/kernel_parity.sh avx2 build
+else
+  echo "tools/check.sh: this CPU lacks AVX2+FMA; skipping the avx2 kernel" \
+       "parity leg (CI's kernel-parity job runs it)"
 fi
 
 echo "== perfbench: benchmark self-test =="
