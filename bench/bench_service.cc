@@ -1,7 +1,8 @@
 // Serving layer: what frontier caching buys. One cold request computes the
 // Pareto frontier end to end (step 2 dominates); follow-up requests that
 // differ only in their preference weights re-run just the recommendation
-// step off the cached frontier; an ingested trace bumps the workload
+// step off the cached frontier; finetune_threshold ingested traces make the
+// served latency model due for a fine-tune, which bumps the workload
 // generation and forces the next request cold again.
 //
 // The report's udao.service.* counters (cache_hits/cache_misses/
@@ -180,15 +181,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // One new trace bumps the workload generation; the cached frontier is now
-  // tagged stale and the next request recomputes.
-  Status ingested =
-      bp.server->Ingest(bp.workload_id, objectives::kLatency,
-                        BatchParamSpace().Encode(BatchParamSpace().Defaults()),
-                        100.0);
-  if (!ingested.ok()) {
-    std::fprintf(stderr, "ingest failed: %s\n", ingested.ToString().c_str());
-    return 1;
+  // finetune_threshold new traces make the served latency model due for a
+  // fine-tune: the last one bumps the workload generation, the cached
+  // frontier is now tagged stale, and the next request recomputes (and pays
+  // for the fine-tune).
+  for (int i = 0; i < bp.server->config().finetune_threshold; ++i) {
+    Status ingested = bp.server->Ingest(
+        bp.workload_id, objectives::kLatency,
+        BatchParamSpace().Encode(BatchParamSpace().Defaults()), 100.0);
+    if (!ingested.ok()) {
+      std::fprintf(stderr, "ingest failed: %s\n",
+                   ingested.ToString().c_str());
+      return 1;
+    }
   }
   request.preference_weights = {0.5, 0.5};
   t0 = std::chrono::steady_clock::now();
@@ -199,7 +204,8 @@ int main(int argc, char** argv) {
                  after.status().ToString().c_str());
     return 1;
   }
-  std::printf("after ingest (entry invalidated): %.1f ms\n", invalidated_ms);
+  std::printf("after %d ingests (fine-tune, entry invalidated): %.1f ms\n",
+              bp.server->config().finetune_threshold, invalidated_ms);
 
   UdaoServiceStats s = service.stats();
   std::printf("\nservice counters: %lld requests, %lld hits, %lld misses, "
@@ -208,7 +214,11 @@ int main(int argc, char** argv) {
               s.errors);
   if (s.cache_hits != 2 * repeats + 1 || s.cache_misses != 2 ||
       s.invalidations != 1 || s.errors != 0) {
-    std::fprintf(stderr, "unexpected cache behavior\n");
+    std::fprintf(stderr,
+                 "unexpected cache behavior: %lld hits, %lld misses, %lld "
+                 "invalidations, %lld errors (expected %d, 2, 1, 0)\n",
+                 s.cache_hits, s.cache_misses, s.invalidations, s.errors,
+                 2 * repeats + 1);
     return 1;
   }
   if (speedup < 10.0) {

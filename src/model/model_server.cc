@@ -1,5 +1,6 @@
 #include "model/model_server.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -9,7 +10,12 @@
 namespace udao {
 
 ModelServer::ModelServer(ModelServerConfig config)
-    : config_(config), rng_(config.seed) {}
+    : config_(config), rng_(config.seed) {
+  // A threshold below 1 would make every GetModel retrain with no ingest to
+  // bump the generation, so a cached frontier could outlive its model.
+  UDAO_CHECK_GE(config_.retrain_threshold, 1);
+  UDAO_CHECK_GE(config_.finetune_threshold, 1);
+}
 
 Status ModelServer::Ingest(const std::string& workload_id,
                            const std::string& objective,
@@ -34,7 +40,13 @@ Status ModelServer::Ingest(const std::string& workload_id,
   entry.data.x.push_back(encoded_conf);
   entry.data.y.push_back(value);
   ++entry.pending;
-  BumpGeneration(workload_id);
+  // A served model that this trace makes (or keeps) due will be replaced by
+  // the next GetModel, and this trace is in its training data: frontiers
+  // computed on the served model are out of date from here on. Traces below
+  // the threshold, or into a pair never served, change no served model.
+  if (entry.model != nullptr && ModelDueLocked(entry)) {
+    BumpGeneration(workload_id);
+  }
   UDAO_METRIC_COUNTER_ADD("udao.model.ingests", 1);
   return Status::Ok();
 }
@@ -85,6 +97,8 @@ StatusOr<std::shared_ptr<const ObjectiveModel>> ModelServer::GetModel(
   }
   Entry& entry = it->second;
   UDAO_METRIC_COUNTER_ADD("udao.model.get_model", 1);
+  // Neither (re)train below bumps the generation: the Ingest that made a
+  // served model due already did, and a first train replaces no served model.
   if (entry.model == nullptr || entry.pending >= config_.retrain_threshold) {
     // First model, or a large trace update: full retrain.
     UDAO_TRACE_SPAN("model.train_full");
@@ -96,8 +110,7 @@ StatusOr<std::shared_ptr<const ObjectiveModel>> ModelServer::GetModel(
     if (!model.ok()) return model.status();
     entry.model = *model;
     entry.pending = 0;
-    BumpGeneration(workload_id);
-  } else if (entry.pending >= config_.finetune_threshold) {
+  } else if (ModelDueLocked(entry)) {
     UDAO_TRACE_SPAN("model.finetune");
     UDAO_METRIC_COUNTER_ADD("udao.model.finetune", 1);
     if (config_.kind == ModelKind::kDnn) {
@@ -118,7 +131,6 @@ StatusOr<std::shared_ptr<const ObjectiveModel>> ModelServer::GetModel(
       entry.model = *model;
     }
     entry.pending = 0;
-    BumpGeneration(workload_id);
   } else {
     // Served straight from the trained snapshot: the cache-hit path that
     // keeps GetModel off the few-seconds MOO budget.
@@ -173,6 +185,12 @@ int ModelServer::NumTraces(const std::string& workload_id,
   auto it = entries_.find({workload_id, objective});
   if (it == entries_.end()) return 0;
   return static_cast<int>(it->second.data.x.size());
+}
+
+bool ModelServer::ModelDueLocked(const Entry& entry) const {
+  return entry.model == nullptr ||
+         entry.pending >= std::min(config_.retrain_threshold,
+                                   config_.finetune_threshold);
 }
 
 ModelServer::GenerationShard& ModelServer::GenerationShardFor(

@@ -41,10 +41,11 @@ struct ModelServerConfig {
   }();
   /// A "large trace update": at least this many new traces triggers a full
   /// retrain (the paper retrains with hyper-parameter tuning on ~5000 new
-  /// traces; scaled to simulator data volumes).
+  /// traces; scaled to simulator data volumes). At least 1.
   int retrain_threshold = 48;
   /// A "small trace update": at least this many new traces triggers
-  /// incremental fine-tuning from the latest checkpoint (DNN only).
+  /// incremental fine-tuning from the latest checkpoint (DNN only; GPs
+  /// refit). At least 1.
   int finetune_threshold = 8;
   int finetune_epochs = 40;
   uint64_t seed = 7;
@@ -56,9 +57,11 @@ struct ModelServerConfig {
 /// module on demand.
 ///
 /// Training is lazy: traces accumulate via Ingest(); the first GetModel()
-/// call after enough new data applies the paper's retrain/fine-tune policy.
-/// This mirrors the architecture's key property -- modeling never blocks the
-/// few-seconds MOO path, which always uses the latest *available* model.
+/// call after enough new data applies the paper's retrain/fine-tune policy,
+/// and the request that makes that call pays for the fine-tune or retrain.
+/// Every other GetModel() serves the latest trained snapshot as is, so
+/// traces below the thresholds leave the MOO path and the served models
+/// untouched.
 ///
 /// Thread safety: all methods may be called concurrently (several optimizer
 /// instances share one server). A single mutex serializes trace ingestion
@@ -80,7 +83,9 @@ class ModelServer {
   /// empty, its dimension disagrees with earlier traces of the pair, or the
   /// value is non-finite -- ingestion is a public service boundary, so bad
   /// telemetry is a recoverable Status for the caller, not a process abort.
-  /// Rejected traces change nothing (no generation bump).
+  /// Rejected traces change nothing. An accepted trace bumps the workload's
+  /// generation only when the pair has a served model that is now due for
+  /// a retrain or fine-tune (see Generation()).
   Status Ingest(const std::string& workload_id, const std::string& objective,
                 const Vector& encoded_conf, double value);
 
@@ -115,10 +120,17 @@ class ModelServer {
   int NumTraces(const std::string& workload_id,
                 const std::string& objective) const;
 
-  /// Monotone per-workload data/model generation: bumped by every Ingest()
-  /// for the workload and again whenever GetModel retrains or fine-tunes one
-  /// of its models. Serving-layer caches tag entries with the generation they
-  /// were computed under and compare against this to detect staleness in one
+  /// Monotone per-workload version of the models already served: bumped by
+  /// each Ingest() that leaves a served (workload, objective) model due for
+  /// a retrain or fine-tune -- the crossing trace, and every later trace
+  /// before the (re)train, since each one changes its training data. It
+  /// never moves inside GetModel: a due model's (re)train was announced by
+  /// the ingest that made it due, and a first train replaces no served
+  /// model. Traces below the thresholds, and traces into a pair GetModel
+  /// never returned, leave it alone. So a model that GetModel returns after
+  /// this read g is the model it keeps returning while this still reads g.
+  /// Serving-layer caches tag entries with the generation read before they
+  /// resolve models and compare against this to detect staleness in one
   /// cheap map lookup -- no model access, no training. Starts at 0 for
   /// workloads never seen.
   ///
@@ -146,6 +158,11 @@ class ModelServer {
   StatusOr<std::shared_ptr<const ObjectiveModel>> TrainFreshLocked(
       const DataSet& data) UDAO_REQUIRES(mu_);
 
+  /// True when the next GetModel for the entry (re)trains: it has no model
+  /// yet, or at least min(retrain_threshold, finetune_threshold) traces
+  /// arrived since its last (re)train.
+  bool ModelDueLocked(const Entry& entry) const UDAO_REQUIRES(mu_);
+
   /// Generation counters live outside mu_ in a small sharded map (see
   /// Generation()). Bumps happen inside mu_ critical sections AFTER the data
   /// mutation, with lock order mu_ -> shard everywhere, so a concurrent
@@ -158,7 +175,7 @@ class ModelServer {
     std::map<std::string, uint64_t> generations UDAO_GUARDED_BY(mu);
   };
   GenerationShard& GenerationShardFor(const std::string& workload_id) const;
-  void BumpGeneration(const std::string& workload_id);
+  void BumpGeneration(const std::string& workload_id) UDAO_REQUIRES(mu_);
 
   ModelServerConfig config_;
   /// Guards rng_, entries_, and metrics_ (every member below config_ except

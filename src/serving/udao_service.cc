@@ -190,12 +190,12 @@ std::optional<UdaoService::CacheEntry> UdaoService::Lookup(
     CacheShard& shard, const std::string& key, uint64_t generation) {
   std::optional<CacheEntry> entry = Find(shard, key);
   if (entry.has_value() && entry->generation != generation) {
-    // The workload saw new traces (or a retrain) since this frontier was
-    // computed: the models behind it are no longer the latest available, so
-    // report a miss and let the caller recompute. The entry itself stays --
-    // ServeStale serves it as a last resort under the stale-cache shed
-    // policy, and the recompute's Insert overwrites it with the newer
-    // generation.
+    // A served model of the workload became due for a retrain or fine-tune
+    // since this frontier was computed: the models behind it are no longer
+    // the latest available, so report a miss and let the caller recompute.
+    // The entry itself stays -- ServeStale serves it as a last resort under
+    // the stale-cache shed policy, and the recompute's Insert overwrites it
+    // with the newer generation.
     shard.invalidations.fetch_add(1, std::memory_order_relaxed);
     UDAO_METRIC_COUNTER_ADD("udao.service.invalidations", 1);
     entry.reset();
@@ -327,10 +327,11 @@ StatusOr<UdaoRecommendation> UdaoService::Handle(const UdaoRequest& request,
   Status valid = Udao::Validate(request);
   if (!valid.ok()) return valid;
 
-  // Read the generation BEFORE resolving models: ResolveObjectives may
-  // lazily retrain (bumping the generation), and a concurrent Ingest may
-  // land between resolve and insert. Tagging with the pre-read value keeps
-  // the entry conservatively old, so staleness detection can only err
+  // Read the generation BEFORE resolving models: a lazy (re)train inside
+  // ResolveObjectives leaves it alone, but a concurrent Ingest that makes a
+  // served model due may land between this read and the resolve, or between
+  // the resolve and the insert. Tagging with the pre-read value
+  // keeps the entry conservatively old, so staleness detection can only err
   // toward recomputing, never toward serving a stale frontier.
   const uint64_t generation = server_->Generation(request.workload_id);
   const std::string key = CacheKey(request);

@@ -179,11 +179,15 @@ class RequestTicket {
 ///    dies with it; degraded frontiers, which are not pure functions of the
 ///    key, are never cached or memoized.
 ///  - Invalidation: every cache entry is tagged with the model server's
-///    per-workload generation (bumped on Ingest and on lazy retrain /
-///    fine-tune). The generation is read *before* models are resolved, so an
-///    entry can only ever be tagged older -- never newer -- than the models
-///    that produced it: a stale frontier is never served (outside explicit
-///    degraded mode), at worst one fresh frontier is recomputed spuriously.
+///    per-workload generation, the version of the models it has served: it
+///    moves at the Ingest that makes a served model due for a retrain or
+///    fine-tune, never inside the lazy (re)train itself, so traces below
+///    the thresholds keep entries current. The generation is read *before*
+///    models are resolved, so an entry can only ever be tagged older --
+///    never newer -- than the models that produced it: a stale frontier is
+///    never served (outside explicit degraded mode). A concurrent crossing
+///    Ingest between the read and the resolve costs at most one spurious
+///    recompute.
 ///  - Deadlines & overload control: a request may carry a Deadline /
 ///    CancellationToken (UdaoRequest::options); the solve stack checks them
 ///    once per iteration block and returns best-so-far results tagged
@@ -295,6 +299,8 @@ class UdaoService {
     /// served from it.
     std::optional<double> default_latency;
     /// ModelServer::Generation(workload) observed before resolving models.
+    /// While it still matches, every server-resolved model behind the entry
+    /// is the one GetModel would return now.
     uint64_t generation = 0;
     /// Recency stamp (global lru_tick_ value of the last touch). Shared by
     /// every published map that holds the entry, so a hit through an older

@@ -301,13 +301,58 @@ TEST(ModelServerTest, SmallUpdateKeepsModelIdentity) {
   }
   auto m1 = server.GetModel("w1", "latency");
   ASSERT_TRUE(m1.ok());
-  // Fewer new traces than finetune_threshold: same object, untouched.
+  // Fewer new traces than finetune_threshold: same object, untouched, and
+  // the generation that versions it holds still.
+  const uint64_t generation = server.Generation("w1");
   for (int i = 0; i < 3; ++i) {
     server.Ingest("w1", "latency", {0.5, 0.5}, 0.5);
   }
   auto m2 = server.GetModel("w1", "latency");
   ASSERT_TRUE(m2.ok());
   EXPECT_EQ(m1->get(), m2->get());
+  EXPECT_EQ(server.Generation("w1"), generation);
+}
+
+// The generation versions the models already served: it moves at the ingest
+// that makes a served model due (and at each later one before the (re)train),
+// never inside GetModel.
+TEST(ModelServerTest, GenerationMovesOnlyWhenAServedModelIsDue) {
+  const ModelServerConfig cfg = TinyDnnConfig();
+  ModelServer server(cfg);
+  Rng rng(9);
+  auto ingest = [&server, &rng](const std::string& workload) {
+    const Vector conf = {rng.Uniform(), rng.Uniform()};
+    ASSERT_TRUE(server.Ingest(workload, "latency", conf, 1.0 + conf[0]).ok());
+  };
+  for (int i = 0; i < 20; ++i) ingest("w1");
+  EXPECT_EQ(server.Generation("w1"), 0u);  // never served
+
+  ASSERT_TRUE(server.GetModel("w1", "latency").ok());  // first train
+  EXPECT_EQ(server.Generation("w1"), 0u);
+  for (int i = 0; i < cfg.finetune_threshold - 1; ++i) ingest("w1");
+  EXPECT_EQ(server.Generation("w1"), 0u);
+
+  ingest("w1");  // crosses finetune_threshold
+  EXPECT_EQ(server.Generation("w1"), 1u);
+  ingest("w1");  // changes the pending fine-tune's data
+  EXPECT_EQ(server.Generation("w1"), 2u);
+  EXPECT_FALSE(server.Ingest("w1", "latency", {0.5}, 1.0).ok());
+  EXPECT_EQ(server.Generation("w1"), 2u);
+
+  ASSERT_TRUE(server.GetModel("w1", "latency").ok());  // fine-tunes
+  EXPECT_EQ(server.Generation("w1"), 2u);
+  ingest("w2");
+  EXPECT_EQ(server.Generation("w1"), 2u);
+}
+
+TEST(ModelServerDeathTest, RejectsThresholdsBelowOne) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ModelServerConfig retrain;
+  retrain.retrain_threshold = 0;
+  EXPECT_DEATH(ModelServer server(retrain), "retrain_threshold >= 1");
+  ModelServerConfig finetune;
+  finetune.finetune_threshold = 0;
+  EXPECT_DEATH(ModelServer server(finetune), "finetune_threshold >= 1");
 }
 
 TEST(ModelServerTest, LargeUpdateRetrains) {

@@ -294,13 +294,46 @@ TEST(RaceStressTest, DnnFineTuneLeavesRetainedHandlesUntouched) {
 
 // ------------------------------------------------------------- UdaoService
 
+// A tiny DNN with finetune_threshold 1: once ServeF1 has served ("w", "f1"),
+// every Ingest into that pair leaves the served model due and moves workload
+// "w"'s generation, so the ingest threads below keep invalidating cached
+// frontiers. (The requests carry explicit models, so nothing re-resolves f1
+// and it stays due.)
+ModelServerConfig InvalidatingServerConfig() {
+  ModelServerConfig cfg;
+  cfg.kind = ModelKind::kDnn;
+  cfg.dnn.hidden = {4};
+  cfg.dnn.train.epochs = 5;
+  cfg.finetune_threshold = 1;
+  return cfg;
+}
+
+void ServeF1(ModelServer* server) {
+  for (int i = 0; i < 4; ++i) {
+    const double v = 0.25 * i;
+    ASSERT_TRUE(server->Ingest("w", "f1", {v, 1.0 - v}, 1.0 + v).ok());
+  }
+  ASSERT_TRUE(server->GetModel("w", "f1").ok());
+}
+
+// Spins until an ingester that counts each Ingest after it returns has
+// counted two more. The second of them started, and moved the generation,
+// after this call began: every entry inserted before the call is stale from
+// then on, so a later lookup of its key counts an invalidation however the
+// threads are scheduled.
+void AwaitTwoIngests(const std::atomic<int>& ingests) {
+  const int seen = ingests.load();
+  while (ingests.load() < seen + 2) std::this_thread::yield();
+}
+
 // Client threads hammer the serving layer's Submit().Wait() while an
 // ingest thread keeps bumping the workload generation: cache lookups,
 // inserts, LRU touches, and generation-based invalidations all race here.
 // Every request must still come back with a valid recommendation (the
 // frontier is recomputed, never served stale or half-built).
 TEST(RaceStressTest, ConcurrentServiceOptimizeVsIngest) {
-  ModelServer server;
+  ModelServer server(InvalidatingServerConfig());
+  ServeF1(&server);
   UdaoServiceConfig cfg;
   cfg.udao.pf.mogd.multistart = 2;
   cfg.udao.pf.mogd.max_iters = 20;
@@ -326,6 +359,7 @@ TEST(RaceStressTest, ConcurrentServiceOptimizeVsIngest) {
   constexpr int kRequestsPerClient = 8;
   std::atomic<int> failures{0};
   std::atomic<int> empty_frontiers{0};
+  std::atomic<int> ingests{0};
   std::atomic<bool> stop_ingest{false};
   std::vector<std::thread> attackers;
   for (int t = 0; t < kClients; ++t) {
@@ -337,6 +371,7 @@ TEST(RaceStressTest, ConcurrentServiceOptimizeVsIngest) {
         } else if (rec->frontier.frontier.empty()) {
           empty_frontiers.fetch_add(1);
         }
+        if (t == 0 && i == 0) AwaitTwoIngests(ingests);
       }
     });
   }
@@ -345,6 +380,7 @@ TEST(RaceStressTest, ConcurrentServiceOptimizeVsIngest) {
     while (!stop_ingest.load(std::memory_order_relaxed)) {
       server.Ingest("w", "f1", {wrng.Uniform(), wrng.Uniform()},
                     1.0 + wrng.Uniform());
+      ingests.fetch_add(1);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
@@ -358,6 +394,7 @@ TEST(RaceStressTest, ConcurrentServiceOptimizeVsIngest) {
   EXPECT_EQ(s.requests, kClients * kRequestsPerClient);
   EXPECT_EQ(s.cache_hits + s.cache_misses, kClients * kRequestsPerClient);
   EXPECT_GE(s.cache_misses, 1);
+  EXPECT_GT(s.invalidations, 0);
   EXPECT_EQ(s.errors, 0);
 }
 
@@ -467,7 +504,8 @@ TEST(RaceStressTest, CancellationRacingCompletion) {
 // ticket state; in any build every ticket must resolve exactly once into a
 // valid frontier or an explicit DeadlineExceeded.
 TEST(RaceStressTest, ConcurrentSubmitCancelAndIngest) {
-  ModelServer server;
+  ModelServer server(InvalidatingServerConfig());
+  ServeF1(&server);
   UdaoServiceConfig cfg;
   cfg.udao.pf.mogd.multistart = 2;
   cfg.udao.pf.mogd.max_iters = 30;
@@ -480,7 +518,9 @@ TEST(RaceStressTest, ConcurrentSubmitCancelAndIngest) {
   constexpr int kClients = 4;
   constexpr int kPerClient = 6;
   std::atomic<int> bad_responses{0};
+  std::atomic<int> ingests{0};
   std::atomic<bool> stop_ingest{false};
+  UdaoServiceStats stats;
   {
     UdaoService service(&server, cfg);
     std::thread ingester([&] {
@@ -488,6 +528,7 @@ TEST(RaceStressTest, ConcurrentSubmitCancelAndIngest) {
       while (!stop_ingest.load(std::memory_order_acquire)) {
         const double v = 0.25 + 0.5 * ((i % 3) / 2.0);
         (void)server.Ingest("w", "f1", {v, 1.0 - v}, 1.0 + v);
+        ingests.fetch_add(1);
         ++i;
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
@@ -511,14 +552,19 @@ TEST(RaceStressTest, ConcurrentSubmitCancelAndIngest) {
               !r.ok() &&
               r.status().code() == StatusCode::kDeadlineExceeded;
           if (!valid_success && !explicit_stop) bad_responses.fetch_add(1);
+          // Client 1's first request is never cancelled, so its key has an
+          // entry, and the client asks for that key again at i == 3.
+          if (c == 1 && i == 0) AwaitTwoIngests(ingests);
         }
       });
     }
     for (std::thread& t : clients) t.join();
     stop_ingest.store(true, std::memory_order_release);
     ingester.join();
+    stats = service.stats();
   }
   EXPECT_EQ(bad_responses.load(), 0);
+  EXPECT_GT(stats.invalidations, 0);
 }
 
 // Inline cache hits racing the rest of the service: client threads issue
@@ -529,7 +575,8 @@ TEST(RaceStressTest, ConcurrentSubmitCancelAndIngest) {
 // build every response is a complete frontier and every request is counted
 // exactly once, as a hit or as a miss.
 TEST(RaceStressTest, InlineHitsVsIngestAndInserts) {
-  ModelServer server;
+  ModelServer server(InvalidatingServerConfig());
+  ServeF1(&server);
   UdaoServiceConfig cfg;
   cfg.udao.pf.mogd.multistart = 2;
   cfg.udao.pf.mogd.max_iters = 20;

@@ -1,7 +1,8 @@
 // UdaoService: the serving layer's frontier cache must be invisible in the
 // results (a cache hit returns bitwise what a cold solve returns), visible
 // in the counters (hits / misses / invalidations), and safely invalidated
-// by model-server generation bumps (Ingest, lazy retrain).
+// by model-server generation bumps (an Ingest that makes a served model due
+// for a retrain or fine-tune).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -144,35 +145,50 @@ TEST(UdaoServiceTest, ConstraintChangesMissTheCache) {
   EXPECT_EQ(service.CacheSize(), 2);
 }
 
-TEST(UdaoServiceTest, IngestInvalidatesCachedFrontier) {
-  ModelServer server;
-  UdaoService service(&server, FastServiceConfig());
+TEST(UdaoServiceTest, ModelChangeInvalidatesCachedFrontier) {
+  // Workload "w" has a served model, so traces that make it due for a
+  // fine-tune move the workload's generation.
+  ModelServerConfig cfg;
+  cfg.kind = ModelKind::kGp;
+  cfg.gp.hyper_opt_steps = 5;
+  ModelServer server(cfg);
+  Rng rng(5);
+  auto ingest = [&server, &rng] {
+    const Vector x = {rng.Uniform(), rng.Uniform()};
+    ASSERT_TRUE(server.Ingest("w", "lat", x, 1.0 + x[0] + x[1]).ok());
+  };
+  for (int i = 0; i < 24; ++i) ingest();
+  ASSERT_TRUE(server.GetModel("w", "lat").ok());
 
+  UdaoService service(&server, FastServiceConfig());
+  UdaoRequest other = ConvexRequest();
+  other.workload_id = "v";
   ASSERT_TRUE(service.Submit(ConvexRequest()).Wait().ok());
   ASSERT_TRUE(service.Submit(ConvexRequest()).Wait().ok());
+  ASSERT_TRUE(service.Submit(other).Wait().ok());
   EXPECT_EQ(service.stats().cache_hits, 1);
 
-  // A trace lands for this workload: its generation moves, so the cached
-  // frontier may rest on out-of-date models and must not be served.
-  server.Ingest("w", "f1", {0.5, 0.5}, 1.0);
+  // The served model becomes due: the workload's generation moves, so the
+  // cached frontier may rest on out-of-date models and must not be served.
+  for (int i = 0; i < cfg.finetune_threshold; ++i) ingest();
   ASSERT_TRUE(service.Submit(ConvexRequest()).Wait().ok());
   UdaoServiceStats s = service.stats();
   EXPECT_EQ(s.invalidations, 1);
-  EXPECT_EQ(s.cache_misses, 2);
+  EXPECT_EQ(s.cache_misses, 3);
 
   // Generation is per-workload: other workloads' entries are untouched, and
   // the recomputed entry serves hits again.
+  ASSERT_TRUE(service.Submit(other).Wait().ok());
   ASSERT_TRUE(service.Submit(ConvexRequest()).Wait().ok());
   s = service.stats();
-  EXPECT_EQ(s.cache_hits, 2);
+  EXPECT_EQ(s.cache_hits, 3);
   EXPECT_EQ(s.invalidations, 1);
 }
 
-TEST(UdaoServiceTest, LazyRetrainCausesAtMostOneSpuriousRecompute) {
+TEST(UdaoServiceTest, LazyFirstTrainCausesNoSpuriousRecompute) {
   // Server-resolved models: the first request's resolve triggers the initial
-  // (lazy) train, which bumps the generation *after* the service read it.
-  // The conservative protocol makes the second request recompute once; from
-  // then on the cache serves hits.
+  // (lazy) train. A first train replaces no served model, so it leaves the
+  // generation alone and every later request hits.
   ModelServerConfig cfg;
   cfg.kind = ModelKind::kGp;
   cfg.gp.hyper_opt_steps = 5;
@@ -188,15 +204,65 @@ TEST(UdaoServiceTest, LazyRetrainCausesAtMostOneSpuriousRecompute) {
   request.objectives[0] = ObjectiveSpec{.name = "lat"};  // server-resolved
 
   ASSERT_TRUE(service.Submit(request).Wait().ok());  // miss; resolve trains
-  ASSERT_TRUE(service.Submit(request).Wait().ok());  // spurious miss (gen moved)
-  ASSERT_TRUE(service.Submit(request).Wait().ok());  // hit
-  ASSERT_TRUE(service.Submit(request).Wait().ok());  // hit
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(service.Submit(request).Wait().ok());  // hit
+  }
 
   const UdaoServiceStats s = service.stats();
+  EXPECT_EQ(s.cache_misses, 1);
+  EXPECT_EQ(s.invalidations, 0);
+  EXPECT_EQ(s.cache_hits, 3);
+  EXPECT_EQ(s.errors, 0);
+}
+
+// Traces below the fine-tune threshold change no served model, so the
+// cached frontier keeps answering, and answers exactly what a fresh solve
+// would. The crossing trace invalidates it, and the recompute answers
+// exactly what a fresh solve on the fine-tuned model would.
+TEST(UdaoServiceTest, HitsEqualFreshSolvesUntilServedModelIsDue) {
+  ModelServerConfig cfg;
+  cfg.kind = ModelKind::kDnn;
+  cfg.dnn.hidden = {8};
+  cfg.dnn.train.epochs = 30;
+  cfg.finetune_epochs = 10;
+  ModelServer server(cfg);
+  Rng rng(11);
+  auto ingest = [&server, &rng] {
+    const Vector x = {rng.Uniform(), rng.Uniform()};
+    ASSERT_TRUE(server.Ingest("w", "lat", x, 1.0 + x[0] + x[1]).ok());
+  };
+  for (int i = 0; i < 24; ++i) ingest();
+
+  UdaoService service(&server, FastServiceConfig());
+  UdaoRequest request = ConvexRequest();
+  request.objectives[0] = ObjectiveSpec{.name = "lat"};  // server-resolved
+  ASSERT_TRUE(service.Submit(request).Wait().ok());  // miss; resolve trains
+
+  for (int i = 0; i < cfg.finetune_threshold - 1; ++i) ingest();
+  auto hit = service.Submit(request).Wait();
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  UdaoServiceStats s = service.stats();
+  EXPECT_EQ(s.cache_hits, 1);
+  EXPECT_EQ(s.cache_misses, 1);
+  EXPECT_EQ(s.invalidations, 0);
+  {
+    UdaoService fresh(&server, FastServiceConfig());
+    auto expected = fresh.Submit(request).Wait();
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ExpectBitwiseEqual(*hit, *expected);
+  }
+
+  ingest();  // crosses finetune_threshold: the served model is due
+  auto recomputed = service.Submit(request).Wait();
+  ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
+  s = service.stats();
+  EXPECT_EQ(s.cache_hits, 1);
   EXPECT_EQ(s.cache_misses, 2);
   EXPECT_EQ(s.invalidations, 1);
-  EXPECT_EQ(s.cache_hits, 2);
-  EXPECT_EQ(s.errors, 0);
+  UdaoService fresh(&server, FastServiceConfig());
+  auto expected = fresh.Submit(request).Wait();
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ExpectBitwiseEqual(*recomputed, *expected);
 }
 
 TEST(UdaoServiceTest, LruEvictsLeastRecentlyUsedFrontier) {
@@ -341,14 +407,16 @@ TEST(UdaoServiceTest, ModelFailureUnderStalePolicyServesCachedFrontier) {
   request.objectives[0] = ObjectiveSpec{.name = "lat"};  // server-resolved
 
   ASSERT_TRUE(service.Submit(request).Wait().ok());  // miss; resolve trains
-  ASSERT_TRUE(service.Submit(request).Wait().ok());  // spurious miss (gen moved)
-  ASSERT_TRUE(service.Submit(request).Wait().ok());  // hit; cache is current now
+  ASSERT_TRUE(service.Submit(request).Wait().ok());  // hit; cache is current
 
-  // A new trace bumps the generation, and the model server faults before
-  // the forced recompute can resolve its objectives. The stale policy falls
-  // back to the previous-generation frontier, explicitly tagged degraded,
-  // instead of failing the request.
-  server.Ingest("w", "lat", {0.25, 0.75}, 1.6);
+  // New traces make the served model due, which bumps the generation, and
+  // the model server faults before the forced recompute can resolve its
+  // objectives. The stale policy falls back to the previous-generation
+  // frontier, explicitly tagged degraded, instead of failing the request.
+  for (int i = 0; i < cfg.finetune_threshold; ++i) {
+    const Vector x = {rng.Uniform(), rng.Uniform()};
+    ASSERT_TRUE(server.Ingest("w", "lat", x, 1.0 + x[0] + x[1]).ok());
+  }
   FaultInjector::Global().Reset();
   FaultInjector::Global().FailNext("model_server.get_model",
                                    Status::Unavailable("injected"), 1);

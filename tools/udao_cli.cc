@@ -23,19 +23,23 @@
 //       [--tenants T] [--zipf S] [--adaptive] [--adaptive-budget-ms B]
 //       Closed-loop driver for the UdaoService serving layer: R requests
 //       submitted through the ticketed Submit() surface with varying
-//       preference weights, optionally ingesting fresh traces every K
-//       requests to exercise cache invalidation. --deadline-ms gives every
-//       request a time budget (anytime solves return degraded frontiers on
-//       expiry); together with --max-queue-depth and --shed-policy it
-//       exercises overload control. --tenants spreads traffic over T
-//       synthetic tenants under a zipf(S) popularity law to drive the
-//       cross-request solve coalescer. Prints cache, shed, degradation, and
-//       queue-wait counters. --adaptive turns on stage-level tuning:
-//       requests carry the dataflow and ask for per-stage refinement, and
-//       the final recommendation is deployed through the engine's AQE-style
-//       adaptive run (boundary re-solves against observed stage sizes under
-//       an --adaptive-budget-ms per-boundary budget, routed through the
-//       service's coalescer) next to a plain job-level deployment.
+//       preference weights, optionally ingesting one fresh run's traces
+//       every K requests to exercise cache invalidation. The cache
+//       invalidates once finetune_threshold (8) such runs make the served
+//       latency model due for a fine-tune, so fewer than 8 ingests show no
+//       invalidation (--requests 64 --ingest-every 4 shows some).
+//       --deadline-ms gives every request a time budget (anytime solves
+//       return degraded frontiers on expiry); together with
+//       --max-queue-depth and --shed-policy it exercises overload control.
+//       --tenants spreads traffic over T synthetic tenants under a zipf(S)
+//       popularity law to drive the cross-request solve coalescer. Prints
+//       cache, shed, degradation, and queue-wait counters. --adaptive turns
+//       on stage-level tuning: requests carry the dataflow and ask for
+//       per-stage refinement, and the final recommendation is deployed
+//       through the engine's AQE-style adaptive run (boundary re-solves
+//       against observed stage sizes under an --adaptive-budget-ms
+//       per-boundary budget, routed through the service's coalescer) next
+//       to a plain job-level deployment.
 //
 // Every command accepts --metrics-json PATH: after the command runs, the
 // process-wide MetricsRegistry snapshot (counters, gauges, histograms,
@@ -401,10 +405,12 @@ int CmdOptimize(const Args& args) {
 // weights sweeping the trade-off curve, so after the first cold solve the
 // rest are weight-only cache hits), optionally ingesting fresh simulator
 // traces every --ingest-every requests to force generation-based
-// invalidations. With --tenants > 1, traffic spreads over synthetic tenants
-// under a zipf(--zipf) popularity law -- all sharing the job's models but
-// carrying distinct workload ids -- which drives the cross-request solve
-// coalescer the way concurrent multi-tenant traffic does in production.
+// invalidations (every finetune_threshold-th ingest, and each one after it
+// until a request fine-tunes the model). With --tenants > 1, traffic spreads
+// over synthetic tenants under a zipf(--zipf) popularity law -- all sharing
+// the job's models but carrying distinct workload ids -- which drives the
+// cross-request solve coalescer the way concurrent multi-tenant traffic does
+// in production.
 int CmdServeSim(const Args& args) {
   const int job = args.GetInt("job", 0);
   if (job < 1 || job > kNumTpcxbbWorkloads) return Usage();
@@ -507,8 +513,10 @@ int CmdServeSim(const Args& args) {
     tickets.push_back(service.Submit(request));
     if (ingest_every > 0 && (i + 1) % ingest_every == 0) {
       // A fresh run lands while requests are in flight: run the simulator on
-      // a sampled configuration and ingest its traces (bumps the workload
-      // generation, invalidating the cached frontier).
+      // a sampled configuration and ingest its traces. Once finetune_threshold
+      // runs have landed since the served latency model's last (re)train, the
+      // model is due: the ingest bumps the workload generation, invalidating
+      // the cached frontier, and the next miss pays for the fine-tune.
       const std::vector<Vector> configs = {BatchParamSpace().Sample(&rng)};
       CollectBatchTraces(engine, workload, configs, server.get());
     }
