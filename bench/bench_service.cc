@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
   // 64 closed-loop clients, each issuing its schedule of (tenant, weights)
   // requests through Submit().Wait(). Tenants share the workload's resolved
   // objective models (one physical model, many request streams), so their
-  // concurrent CO subproblems are fusable; distinct workload ids still route
+  // identical CO subproblems are shareable; distinct workload ids still route
   // to distinct cache shards. The cache is disabled so every request pays a
   // real solve -- the measured ratio is pure solve throughput. The identical
   // schedule is replayed against a per-request-solve service and a coalescing
@@ -312,8 +312,6 @@ int main(int argc, char** argv) {
   mtcfg.udao.pf.mogd.max_iters = 60;
   mtcfg.frontier_cache_capacity = 0;
   mtcfg.admission_threads = clients;
-  mtcfg.coalesce_max_batch = 64;
-  mtcfg.coalesce_max_wait_us = 300.0;
 
   // Resolve the workload's objectives once and hand every tenant the same
   // model instances; tenants are request streams, not separate models.

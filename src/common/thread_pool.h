@@ -13,7 +13,7 @@ namespace udao {
 /// Fixed-size worker pool used by the PF-AP algorithm and the MOGD solver's
 /// multi-threaded batch mode. Tasks are plain std::function<void()>; callers
 /// coordinate results themselves (typically by writing to pre-sized slots and
-/// waiting on WaitIdle).
+/// running them through ParallelFor).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).
@@ -33,8 +33,13 @@ class ThreadPool {
   /// concurrently from several threads; each returns once the pool is idle.
   void WaitIdle();
 
-  /// Convenience: runs fn(i) for i in [0, n) across the pool and waits.
-  /// Returns immediately when n <= 0 (it never waits on unrelated tasks).
+  /// Runs fn(i) for every i in [0, n) and returns once all n calls have
+  /// finished. The calling thread and up to min(n - 1, num_threads()) pool
+  /// helpers claim indices from one shared counter, so the call completes
+  /// even when no worker is free -- including when it is issued from inside
+  /// a task of this pool -- and never waits on unrelated tasks (no WaitIdle).
+  /// A helper that starts after every index is taken returns without
+  /// touching `fn`, so `fn` need only outlive the call. n <= 0 is a no-op.
   void ParallelFor(int n, const std::function<void(int)>& fn);
 
   int num_threads() const { return static_cast<int>(workers_.size()); }

@@ -23,7 +23,8 @@ class ObjectiveModel {
   /// Batched evaluation surface, the only evaluation code a model has. Each
   /// row of `x` is one encoded point, and a row's results never depend on
   /// the other rows of its batch, so an N-row call equals N 1-row calls
-  /// (which is what lets the solve coalescer fuse callers' rows). MOGD and
+  /// (which is what lets MOGD stack multistarts and problems into one
+  /// batch). MOGD and
   /// PF-AP issue thousands of predictions per run through these entry
   /// points.
   virtual void PredictBatch(const Matrix& x, Vector* out) const = 0;
@@ -56,15 +57,16 @@ class ObjectiveModel {
   /// Short description for logs ("gp", "dnn", "analytic-latency", ...).
   virtual std::string Name() const = 0;
 
-  /// Identity for cross-request solve fusion: two models with the same
+  /// Identity for cross-request solve sharing: two models with the same
   /// FuseIdentity are guaranteed to produce bitwise-identical predictions
-  /// and gradients for identical inputs, so the solve coalescer may
-  /// evaluate both callers' points through either one. The default -- the
-  /// instance itself -- is always safe (it merely forgoes fusion).
-  /// Stateless pass-through wrappers forward to the wrapped model, which is
-  /// what lets per-request NonNegativeModel shells around one shared
-  /// server-side model coalesce. A retrained model is a new instance, so
-  /// generation changes split fuse groups automatically.
+  /// and gradients for identical inputs, so the solve coalescer may hand
+  /// one caller's solve to another caller whose problem names the same
+  /// identities. The default -- the instance itself -- is always safe (it
+  /// merely forgoes sharing). Stateless pass-through wrappers forward to the
+  /// wrapped model, which is what lets per-request NonNegativeModel shells
+  /// around one shared server-side model share solves. A retrained model is
+  /// a new instance, so a model change never reuses an older model's
+  /// solves.
   virtual const void* FuseIdentity() const { return this; }
 };
 
@@ -126,7 +128,7 @@ class NonNegativeModel : public ObjectiveModel {
   int input_dim() const override { return base_->input_dim(); }
   std::string Name() const override { return base_->Name() + "+floor"; }
   /// The floor is stateless and deterministic, so two shells around one
-  /// model are interchangeable for fusion purposes.
+  /// model are interchangeable for solve sharing.
   const void* FuseIdentity() const override { return base_->FuseIdentity(); }
 
  private:

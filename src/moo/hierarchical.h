@@ -29,7 +29,7 @@ struct HierarchicalConfig {
   }();
   /// When set, every per-stage Minimize routes through this solver. The
   /// serving layer passes its SolveCoalescer here, so boundary re-solves
-  /// from concurrent requests coalesce (window sharing + singleflight).
+  /// from concurrent requests coalesce (singleflight + memo).
   /// Null solves inline on an owned MogdSolver built from `mogd`; the two
   /// return the same bits only when `mogd` equals the co_solver's config.
   CoBatchSolver* co_solver = nullptr;

@@ -366,12 +366,12 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveBatch(
         SolveCoSeeded(problem, problems[i], config_.seed + 1000 * i,
                       &perfs[i], stop);
   };
-  if (config_.pool == nullptr || problems.size() == 1) {
-    for (size_t i = 0; i < problems.size(); ++i) {
-      solve_one(static_cast<int>(i));
-    }
+  const int n = static_cast<int>(problems.size());
+  if (config_.pool == nullptr) {
+    for (int i = 0; i < n; ++i) solve_one(i);
   } else {
-    config_.pool->ParallelFor(static_cast<int>(problems.size()), solve_one);
+    // The calling thread descends too, so a batch of one never leaves it.
+    config_.pool->ParallelFor(n, solve_one);
   }
   if (perf != nullptr) {
     for (const SolvePerf& p : perfs) perf->Merge(p);

@@ -83,9 +83,9 @@ struct CoResult {
 /// `mogd.seed + 1000 * i` so any implementation returns bitwise-identical
 /// solutions. MogdSolver is the direct implementation; the cross-request
 /// SolveCoalescer is the other, plugged in through PfConfig::co_solver /
-/// HierarchicalConfig::co_solver so concurrent requests share fused GEMM
-/// streams. ProgressiveFrontier and HierarchicalMoo issue every MOGD solve
-/// through this interface.
+/// HierarchicalConfig::co_solver so concurrent requests never descend the
+/// same subproblem twice. ProgressiveFrontier and HierarchicalMoo issue
+/// every MOGD solve through this interface.
 class CoBatchSolver {
  public:
   virtual ~CoBatchSolver() = default;
@@ -148,8 +148,9 @@ class MogdSolver : public CoBatchSolver {
                                   SolvePerf* perf = nullptr,
                                   const StopToken& stop = StopToken()) const;
 
-  /// Solves a batch of CO problems on config().pool (inline when null) --
-  /// the PF-AP fan-out; a PF-AS probe is a batch of one. Result i
+  /// Solves a batch of CO problems through config().pool's ParallelFor, the
+  /// calling thread included (inline when null) -- the PF-AP fan-out; a
+  /// PF-AS probe is a batch of one. Result i
   /// corresponds to problems[i] and is independent of the pool's thread
   /// count. Each per-problem solve checks `stop` per iteration (see SolveCo).
   std::vector<std::optional<CoResult>> SolveBatch(

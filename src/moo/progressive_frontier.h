@@ -36,9 +36,9 @@ struct PfConfig {
   /// grid fan-out, the PF-AS probe (a batch of one) and the reference-point
   /// minimizations -- goes through this solver instead of the private
   /// MogdSolver built from `mogd`. Non-owning; the serving layer points it at
-  /// its cross-request SolveCoalescer so concurrent requests share fused
-  /// GEMM streams, and its Minimize singleflight serves every hot-tenant
-  /// request's Initialize from one shared descent. The CoBatchSolver
+  /// its cross-request SolveCoalescer so concurrent requests share identical
+  /// subproblems' descents, and its Minimize singleflight serves every
+  /// hot-tenant request's Initialize from one shared descent. The CoBatchSolver
   /// contract (mogd.h) pins per-problem seeds, so routing never changes
   /// solutions -- like the MOGD pool pointer, it is deliberately excluded
   /// from the options fingerprint.

@@ -100,8 +100,6 @@ UdaoService::UdaoService(ModelServer* server, UdaoServiceConfig config)
   const MogdConfig& mogd = udao_.options().pf.mogd;
   if (config_.coalesce_solves) {
     SolveCoalescerConfig cc;
-    cc.max_batch = config_.coalesce_max_batch;
-    cc.max_wait_us = config_.coalesce_max_wait_us;
     cc.mogd = mogd;
     coalescer_ = std::make_unique<SolveCoalescer>(cc);
   }
@@ -391,8 +389,8 @@ StatusOr<UdaoService::CacheEntry> UdaoService::Solve(
     UDAO_TRACE_SPAN("service.pf");
     // pf_config_ = the service's solver options with co_solver pointed at
     // the cross-request coalescer, so this request's CO subproblems may
-    // share fused descents with concurrent requests' (bitwise-identical
-    // results either way).
+    // share descents with concurrent requests' (bitwise-identical results
+    // either way).
     ProgressiveFrontier pf(entry.problem.get(), pf_config_);
     entry.frontier = std::make_shared<const PfResult>(
         pf.Run(udao_.options().frontier_points, request.Stop()));

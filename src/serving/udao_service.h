@@ -33,9 +33,10 @@ struct UdaoServiceConfig {
   /// UdaoRequest only, which is what makes cached frontiers reusable.
   SolverOptions udao;
   /// Workers admitting requests. This pool is deliberately distinct from the
-  /// solver pool (udao.solver_threads): request tasks block in the solver
-  /// pool's WaitIdle during PF fan-out, and a worker of a pool must never
-  /// wait for that same pool to drain.
+  /// solver pool (udao.solver_threads): a request task runs its PF fan-outs
+  /// through the solver pool's ParallelFor and descends on its own thread
+  /// too, so the two pools bound client-facing concurrency and solver
+  /// parallelism independently.
   int admission_threads = 4;
   /// Cached frontiers kept across all shards. The budget is divided evenly:
   /// each shard holds up to max(1, capacity / cache_shards) entries with
@@ -46,14 +47,12 @@ struct UdaoServiceConfig {
   /// entries and counters live in one shard and tenants do not contend on a
   /// shared lock. Clamped to >= 1.
   int cache_shards = 8;
-  /// Funnel the MOGD constrained-optimization subproblems of concurrent
-  /// requests into shared fused solves (see SolveCoalescer): N tenants
-  /// asking for frontiers drive a few big GEMM streams instead of N small
-  /// interleaved ones. Results stay bitwise-identical to solo solves; the
-  /// only cost is up to coalesce_max_wait_us added latency per solve round.
+  /// Route the MOGD subproblems of every request through one
+  /// SolveCoalescer, so a subproblem identical to one a concurrent request
+  /// is descending, or one solved recently, is not solved again. Results
+  /// stay bitwise-identical to solo solves, and the coalescer adds no wait:
+  /// a request descends its own new subproblems at once.
   bool coalesce_solves = true;
-  int coalesce_max_batch = 32;
-  double coalesce_max_wait_us = 200.0;
   /// Overload bound: requests queued or running before shedding starts.
   /// <= 0 means unbounded (the pre-overload-control behavior). The bound is
   /// approximate under concurrency (check-then-admit is not atomic), which
@@ -152,10 +151,9 @@ class RequestTicket {
 ///    fixed-size ThreadPool, so any number of client threads can call
 ///    Submit() concurrently while solver parallelism stays bounded.
 ///  - Solve coalescing: the MOGD subproblems of concurrently admitted
-///    requests are funneled through one SolveCoalescer, which fuses
-///    same-shaped problems from different requests into shared batched
-///    descents (one GEMM stream for the window instead of one per request)
-///    without changing any request's results bitwise.
+///    requests are funneled through one SolveCoalescer, which solves each
+///    distinct subproblem once -- twins of an in-flight descent join it,
+///    repeats hit a memo -- without changing any request's results bitwise.
 ///  - Frontier caching: step 2 (Progressive Frontier) dominates end-to-end
 ///    latency but depends only on (workload, objectives, constraints, solver
 ///    options) -- NOT on preference weights or the recommendation policy.
@@ -436,9 +434,8 @@ class UdaoService {
   std::string options_fingerprint_;
 
   /// Cross-request solve coalescer (null when coalescing is off). Declared
-  /// after udao_ so it is destroyed FIRST: its destructor waits out fused
-  /// chunks running on udao_'s solver pool, which must still be alive at
-  /// that point.
+  /// after udao_, whose solver pool it descends on, so it is destroyed
+  /// first.
   std::unique_ptr<SolveCoalescer> coalescer_;
   /// udao_.options().pf with co_solver pointed at coalescer_; what Solve
   /// actually constructs ProgressiveFrontier with. co_solver is excluded

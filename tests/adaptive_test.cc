@@ -351,7 +351,7 @@ TEST(AdaptiveDeterminismTest,
 
   // A batchmate solving through the same coalescer after the fault sees
   // bitwise-identical results: the injected failure poisoned no shared
-  // state (memo entries, fuse groups, seeds).
+  // state (memo entries, singleflight registry, seeds).
   StatusOr<StageConfOverlay> after = hmoo.ResolveStages(
       base, stages, 0, flow.workload_class(), StopToken());
   ASSERT_TRUE(after.ok());

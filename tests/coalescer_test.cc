@@ -1,14 +1,15 @@
-// SolveCoalescer: fusing the CO subproblems of concurrent requests into
-// shared batched descents must be invisible in the results -- every problem
-// solves bitwise-identically to a solo run with the same seed, no matter how
-// submissions share windows, fuse groups, or chunks -- and visible only in
-// the counters (fused chunks, cross-request problems) and the wall clock.
-// Also covers the serving layer's RequestTicket/Submit surface and shard
-// routing, which exist to feed the coalescer concurrent traffic, and its
-// stage-level refinement, whose per-stage solves the coalescer also serves.
+// SolveCoalescer: sharing the CO subproblems of concurrent requests must be
+// invisible in the results -- every problem solves bitwise-identically to a
+// solo run with the same seed, whichever call or thread descended it, or
+// whether the memo or an in-flight twin served it -- and visible only in the
+// counters (descents, dedup and memo hits) and the wall clock. Also covers
+// the serving layer's RequestTicket/Submit surface and shard routing, which
+// exist to feed the coalescer concurrent traffic, and its stage-level
+// refinement, whose per-stage solves the coalescer also serves.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -88,13 +89,11 @@ TEST(SolveCoalescerTest, FusedSolveMatchesSeededSoloSolvesBitwise) {
 
 // The full coalescer path for one submission must reproduce
 // MogdSolver::SolveBatch bitwise: same per-slot seed contract, same results,
-// whether or not anyone shared the window.
+// one descent per problem.
 TEST(SolveCoalescerTest, SingleSubmissionMatchesSolveBatchBitwise) {
   const MooProblem problem = ConvexProblem();
   SolveCoalescerConfig cc;
   cc.mogd = FastMogd();
-  cc.max_batch = 64;
-  cc.max_wait_us = 0.0;  // flush immediately; no idle latency in tests
   SolveCoalescer coalescer(cc);
   const std::vector<CoProblem> problems = ProbeLadder(6);
 
@@ -108,19 +107,16 @@ TEST(SolveCoalescerTest, SingleSubmissionMatchesSolveBatchBitwise) {
     ExpectBitwiseEqual(coalesced[i], reference[i], static_cast<int>(i));
   }
   EXPECT_EQ(coalescer.stats().submissions, 1);
-  EXPECT_GE(coalescer.stats().fused_chunks, 1);
+  EXPECT_EQ(coalescer.stats().descents, 6);
 }
 
-// Two concurrent submissions against the same problem shapes: the window is
-// sized so the flusher only fires once both are pending, which forces them
-// into one fuse group and (with no pool, one chunk) one fused descent. Both
-// callers must still get exactly their solo-solve results.
-TEST(SolveCoalescerTest, ConcurrentSubmissionsFuseAndStayBitwiseIdentical) {
+// Two concurrent submissions of distinct problems against one MooProblem:
+// each caller descends its own problem and must get exactly its solo-solve
+// result.
+TEST(SolveCoalescerTest, ConcurrentSubmissionsStayBitwiseIdentical) {
   const MooProblem problem = ConvexProblem();
   SolveCoalescerConfig cc;
   cc.mogd = FastMogd();
-  cc.max_batch = 2;          // exactly the two submissions below
-  cc.max_wait_us = 2e6;      // far longer than the test: flush on fullness
   SolveCoalescer coalescer(cc);
 
   const std::vector<CoProblem> pa = {ProbeLadder(3)[0]};
@@ -141,15 +137,10 @@ TEST(SolveCoalescerTest, ConcurrentSubmissionsFuseAndStayBitwiseIdentical) {
 
   const SolveCoalescer::Stats stats = coalescer.stats();
   EXPECT_EQ(stats.submissions, 2);
-  EXPECT_EQ(stats.flushes, 1);
-  // One fuse group (same problem identity), one chunk, both problems of it
-  // from different submissions: certified cross-request fusion.
-  EXPECT_EQ(stats.fuse_groups, 1);
-  EXPECT_EQ(stats.fused_chunks, 1);
-  EXPECT_EQ(stats.fused_problems, 2);
+  EXPECT_EQ(stats.descents, 2);
 }
 
-// A cancelled batchmate never perturbs (or stalls) its windowmates: the
+// A cancelled submission never perturbs (or stalls) a concurrent one: the
 // surviving submission's result must remain bitwise identical to its solo
 // solve, and the doomed one still delivers. (A cancel-only submission is
 // dedup-eligible, so its descent runs under the never-stop token -- a twin
@@ -160,8 +151,6 @@ TEST(SolveCoalescerTest, CancelledSubmissionDoesNotPerturbBatchmates) {
   const MooProblem problem = ConvexProblem();
   SolveCoalescerConfig cc;
   cc.mogd = FastMogd();
-  cc.max_batch = 2;
-  cc.max_wait_us = 2e6;
   SolveCoalescer coalescer(cc);
 
   CancellationSource source;
@@ -179,32 +168,44 @@ TEST(SolveCoalescerTest, CancelledSubmissionDoesNotPerturbBatchmates) {
   ta.join();
   tb.join();
 
-  // The survivor is untouched by its batchmate's cancellation.
+  // The survivor is untouched by the other call's cancellation.
   MogdSolver solo(cc.mogd);
   ExpectBitwiseEqual(rb[0], solo.SolveBatch(problem, pb)[0], 1);
-  // The doomed submission still delivered instead of hanging its caller or
-  // the window.
+  // The doomed submission still delivered instead of hanging its caller.
   ASSERT_EQ(ra.size(), 1u);
-  EXPECT_EQ(coalescer.stats().fused_problems, 2);
 }
 
-// Identical subproblems submitted concurrently collapse to one descent: the
-// second submission joins the first's in-flight slot (singleflight) and
-// receives the same bits a solo solve would have produced.
+// Identical subproblems submitted concurrently collapse to one descent. The
+// gate: each thread bumps `entered` before calling, and the target
+// objective's model spins until both have, so the representative cannot
+// finish before the second call is issued -- the second is then served
+// either by joining the in-flight solve (singleflight) or, if it lost the
+// race to the representative's delivery, by the memo. Never by a second
+// descent, and always with the bits a solo solve produces.
 TEST(SolveCoalescerTest, IdenticalConcurrentSubmissionsShareOneDescent) {
-  const MooProblem problem = ConvexProblem();
+  std::atomic<int> entered{0};
+  auto f1 = std::make_shared<CallableModel>(
+      "g1", 2, [&entered](const Vector& x) {
+        while (entered.load() < 2) std::this_thread::yield();
+        return x[0] + x[1];
+      });
+  auto f2 = std::make_shared<CallableModel>("g2", 2, [](const Vector& x) {
+    return (1.0 - x[0]) * (1.0 - x[0]) + x[1];
+  });
+  const MooProblem problem(&UnitSpace2(),
+                           {ObjectiveSpec{"g1", f1}, ObjectiveSpec{"g2", f2}});
   SolveCoalescerConfig cc;
   cc.mogd = FastMogd();
-  cc.max_batch = 2;
-  cc.max_wait_us = 2e6;
   SolveCoalescer coalescer(cc);
 
   const std::vector<CoProblem> shared = {ProbeLadder(3)[0]};
   std::vector<std::optional<CoResult>> ra, rb;
   std::thread ta([&] {
+    entered.fetch_add(1);
     ra = coalescer.SolveBatch(problem, shared, nullptr, StopToken());
   });
   std::thread tb([&] {
+    entered.fetch_add(1);
     rb = coalescer.SolveBatch(problem, shared, nullptr, StopToken());
   });
   ta.join();
@@ -216,8 +217,9 @@ TEST(SolveCoalescerTest, IdenticalConcurrentSubmissionsShareOneDescent) {
   ExpectBitwiseEqual(rb[0], reference[0], 1);
 
   const SolveCoalescer::Stats stats = coalescer.stats();
-  EXPECT_EQ(stats.dedup_hits, 1);   // one twin joined, one descent ran
-  EXPECT_EQ(stats.fused_chunks, 1);
+  EXPECT_EQ(stats.submissions, 2);
+  EXPECT_EQ(stats.dedup_hits + stats.memo_hits, 1);
+  EXPECT_EQ(stats.descents, 1);
 }
 
 // A resubmitted subproblem after its twin completed is served from the memo:
@@ -226,14 +228,12 @@ TEST(SolveCoalescerTest, RepeatedSubmissionHitsTheMemo) {
   const MooProblem problem = ConvexProblem();
   SolveCoalescerConfig cc;
   cc.mogd = FastMogd();
-  cc.max_batch = 64;
-  cc.max_wait_us = 0.0;
   SolveCoalescer coalescer(cc);
   const std::vector<CoProblem> problems = ProbeLadder(3);
 
   const auto first =
       coalescer.SolveBatch(problem, problems, nullptr, StopToken());
-  const long long chunks_after_first = coalescer.stats().fused_chunks;
+  const long long descents_after_first = coalescer.stats().descents;
   const auto second =
       coalescer.SolveBatch(problem, problems, nullptr, StopToken());
 
@@ -242,24 +242,22 @@ TEST(SolveCoalescerTest, RepeatedSubmissionHitsTheMemo) {
   }
   const SolveCoalescer::Stats stats = coalescer.stats();
   EXPECT_EQ(stats.memo_hits, static_cast<long long>(problems.size()));
-  EXPECT_EQ(stats.fused_chunks, chunks_after_first);  // nothing re-descended
+  EXPECT_EQ(stats.descents, descents_after_first);  // nothing re-descended
 }
 
-// memo_capacity = 0 turns cross-window sharing off: the repeat really
-// re-solves (and, being deterministic, still matches bitwise).
-TEST(SolveCoalescerTest, MemoCapacityZeroDisablesCrossWindowSharing) {
+// memo_capacity = 0 turns the memo off: the repeat really re-solves (and,
+// being deterministic, still matches bitwise).
+TEST(SolveCoalescerTest, MemoCapacityZeroDisablesTheMemo) {
   const MooProblem problem = ConvexProblem();
   SolveCoalescerConfig cc;
   cc.mogd = FastMogd();
-  cc.max_batch = 64;
-  cc.max_wait_us = 0.0;
   cc.memo_capacity = 0;
   SolveCoalescer coalescer(cc);
   const std::vector<CoProblem> problems = ProbeLadder(3);
 
   const auto first =
       coalescer.SolveBatch(problem, problems, nullptr, StopToken());
-  const long long chunks_after_first = coalescer.stats().fused_chunks;
+  const long long descents_after_first = coalescer.stats().descents;
   const auto second =
       coalescer.SolveBatch(problem, problems, nullptr, StopToken());
 
@@ -268,7 +266,82 @@ TEST(SolveCoalescerTest, MemoCapacityZeroDisablesCrossWindowSharing) {
   }
   const SolveCoalescer::Stats stats = coalescer.stats();
   EXPECT_EQ(stats.memo_hits, 0);
-  EXPECT_GT(stats.fused_chunks, chunks_after_first);
+  EXPECT_GT(stats.descents, descents_after_first);
+}
+
+// With memo_capacity = 2, a third distinct subproblem evicts the coldest
+// entry: repeats of the two newer ones hit, a repeat of the evicted one
+// descends again (and, being deterministic, still matches bitwise).
+TEST(SolveCoalescerTest, MemoEvictsTheColdestEntryPastCapacity) {
+  const MooProblem problem = ConvexProblem();
+  SolveCoalescerConfig cc;
+  cc.mogd = FastMogd();
+  cc.memo_capacity = 2;
+  SolveCoalescer coalescer(cc);
+  const std::vector<CoProblem> ladder = ProbeLadder(3);
+  auto solve = [&](int i) {
+    return coalescer.SolveBatch(problem, {ladder[i]}, nullptr, StopToken())[0];
+  };
+
+  std::vector<std::optional<CoResult>> first;
+  for (int i = 0; i < 3; ++i) first.push_back(solve(i));
+  EXPECT_EQ(coalescer.stats().descents, 3);
+
+  ExpectBitwiseEqual(solve(1), first[1], 1);
+  ExpectBitwiseEqual(solve(2), first[2], 2);
+  EXPECT_EQ(coalescer.stats().memo_hits, 2);
+  EXPECT_EQ(coalescer.stats().descents, 3);
+
+  ExpectBitwiseEqual(solve(0), first[0], 0);
+  EXPECT_EQ(coalescer.stats().memo_hits, 2);
+  EXPECT_EQ(coalescer.stats().descents, 4);
+}
+
+// Memo keys carry an interned id of the space's structure, not its address
+// alone: a structurally different space rebuilt at a recycled address never
+// shares an entry with the old one. std::optional stores its value inline,
+// so re-emplacing reuses the exact same address deterministically. The
+// models work in the encoded space, so only the decoded `raw` knobs would
+// betray a stale hit; the new space stretches u0's range to tell them apart.
+TEST(SolveCoalescerTest, RecycledSpaceAddressWithDifferentStructureMisses) {
+  const MooProblem convex = ConvexProblem();
+  const std::vector<ObjectiveSpec> objectives = {convex.objective(0),
+                                                 convex.objective(1)};
+  SolveCoalescerConfig cc;
+  cc.mogd = FastMogd();
+  SolveCoalescer coalescer(cc);
+  const std::vector<CoProblem> problems = ProbeLadder(3);
+
+  std::optional<ParamSpace> space;
+  space.emplace(std::vector<ParamSpec>{
+      {"u0", ParamType::kContinuous, 0.0, 1.0, {}, 0.5},
+      {"u1", ParamType::kContinuous, 0.0, 1.0, {}, 0.5},
+  });
+  const ParamSpace* address = &*space;
+  const auto before = coalescer.SolveBatch(MooProblem(&*space, objectives),
+                                           problems, nullptr, StopToken());
+
+  space.emplace(std::vector<ParamSpec>{
+      {"u0", ParamType::kContinuous, 0.0, 2.0, {}, 0.5},
+      {"u1", ParamType::kContinuous, 0.0, 1.0, {}, 0.5},
+  });
+  ASSERT_EQ(&*space, address);  // the address really was recycled
+  const MooProblem rebuilt(&*space, objectives);
+  const auto after =
+      coalescer.SolveBatch(rebuilt, problems, nullptr, StopToken());
+
+  const SolveCoalescer::Stats stats = coalescer.stats();
+  EXPECT_EQ(stats.memo_hits, 0);
+  EXPECT_EQ(stats.descents, 2 * static_cast<long long>(problems.size()));
+  const auto reference = MogdSolver(cc.mogd).SolveBatch(rebuilt, problems);
+  bool raw_moved = false;
+  for (size_t i = 0; i < problems.size(); ++i) {
+    ExpectBitwiseEqual(after[i], reference[i], static_cast<int>(i));
+    if (after[i].has_value() && before[i].has_value()) {
+      raw_moved = raw_moved || after[i]->raw != before[i]->raw;
+    }
+  }
+  EXPECT_TRUE(raw_moved);  // a stale hit would have been observable
 }
 
 // Deadline-armed submissions bypass dedup and memo entirely: their anytime
@@ -278,8 +351,6 @@ TEST(SolveCoalescerTest, DeadlineArmedSubmissionsBypassDedupAndMemo) {
   const MooProblem problem = ConvexProblem();
   SolveCoalescerConfig cc;
   cc.mogd = FastMogd();
-  cc.max_batch = 64;
-  cc.max_wait_us = 0.0;
   SolveCoalescer coalescer(cc);
   const std::vector<CoProblem> problems = ProbeLadder(2);
   const StopToken armed(Deadline::AfterMs(3600e3));  // far future: never fires
@@ -290,6 +361,35 @@ TEST(SolveCoalescerTest, DeadlineArmedSubmissionsBypassDedupAndMemo) {
   const SolveCoalescer::Stats stats = coalescer.stats();
   EXPECT_EQ(stats.dedup_hits, 0);
   EXPECT_EQ(stats.memo_hits, 0);
+}
+
+// SolveBatch descends on the calling thread and on whichever pool workers
+// join it. A helper that starts after every unit is taken returns without
+// touching the call's state, so a coalescer destroyed while its helpers are
+// still queued behind a busy worker leaves nothing for them to touch
+// (ASan reports a use-after-free otherwise).
+TEST(SolveCoalescerTest, DestroyedWhileLateHelpersAreQueued) {
+  ThreadPool pool(1);
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  pool.Submit([gate] { gate.wait(); });  // the lone worker stays busy
+  {
+    const MooProblem problem = ConvexProblem();
+    SolveCoalescerConfig cc;
+    cc.mogd = FastMogd();
+    cc.mogd.pool = &pool;
+    SolveCoalescer coalescer(cc);
+    const std::vector<CoProblem> problems = ProbeLadder(4);
+    const auto results =
+        coalescer.SolveBatch(problem, problems, nullptr, StopToken());
+    const auto reference = MogdSolver(FastMogd()).SolveBatch(problem, problems);
+    for (size_t i = 0; i < problems.size(); ++i) {
+      ExpectBitwiseEqual(results[i], reference[i], static_cast<int>(i));
+    }
+    EXPECT_EQ(coalescer.stats().descents, 4);
+  }
+  release.set_value();  // the queued helper runs only now
+  pool.WaitIdle();
 }
 
 void ExpectBitwiseEqual(const CoResult& a, const CoResult& b) {
@@ -395,8 +495,6 @@ TEST(SolveCoalescerTest, PfInitializeRoutesMinimizeThroughCoalescer) {
 
   SolveCoalescerConfig cc;
   cc.mogd = base.mogd;
-  cc.max_batch = 64;
-  cc.max_wait_us = 0.0;
   SolveCoalescer coalescer(cc);
   PfConfig routed = base;
   routed.co_solver = &coalescer;
@@ -526,7 +624,6 @@ TEST(UdaoServiceCoalescingTest, ConcurrentSubmissionsMatchSoloBitwise) {
   on.coalesce_solves = true;
   on.frontier_cache_capacity = 0;
   on.admission_threads = 4;
-  on.coalesce_max_wait_us = 2000.0;  // wide window: maximize actual fusion
 
   constexpr int kVariants = 6;
   auto variant = [](int i) {

@@ -6,8 +6,10 @@
 #include <functional>
 #include <future>
 #include <limits>
+#include <memory>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/check.h"
 #include "common/matrix.h"
@@ -275,20 +277,109 @@ TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturnsImmediately) {
   pool.WaitIdle();  // must not deadlock
 }
 
+// Occupies one pool worker until Release() (or destruction).
+class BlockedWorker {
+ public:
+  explicit BlockedWorker(ThreadPool* pool) {
+    pool->Submit([gate = gate_] { gate.wait(); });
+  }
+  ~BlockedWorker() { Release(); }
+  BlockedWorker(const BlockedWorker&) = delete;
+  BlockedWorker& operator=(const BlockedWorker&) = delete;
+  void Release() {
+    if (!released_) release_.set_value();
+    released_ = true;
+  }
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> gate_ = release_.get_future().share();
+  bool released_ = false;
+};
+
 TEST(ThreadPoolTest, ParallelForZeroNeverWaitsOnUnrelatedTasks) {
   ThreadPool pool(1);
   // Block the lone worker on a task we control. If ParallelFor(0) waited
   // for pool-wide idle it would deadlock here (the blocker cannot finish
   // until after the call returns), which ctest reports as a timeout.
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  pool.Submit([gate] { gate.wait(); });
+  BlockedWorker blocked(&pool);
   int calls = 0;
   pool.ParallelFor(0, [&calls](int) { ++calls; });
   pool.ParallelFor(-3, [&calls](int) { ++calls; });
   EXPECT_EQ(calls, 0);
-  release.set_value();
+  blocked.Release();
   pool.WaitIdle();
+}
+
+constexpr std::chrono::seconds kBound(20);
+
+// The calling thread claims ParallelFor indices too, so the call completes
+// while every worker is busy, and then the caller ran every index. A pool
+// whose ParallelFor only waits for its workers hangs here, so the call runs
+// on a side thread and its completion is awaited with a bound.
+TEST(ThreadPoolTest, ParallelForCompletesWhileTheOnlyWorkerIsBlocked) {
+  ThreadPool pool(1);
+  BlockedWorker blocked(&pool);
+  std::vector<std::thread::id> ran_on(8);
+  std::thread::id caller;
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread side([&] {
+    caller = std::this_thread::get_id();
+    pool.ParallelFor(8, [&ran_on](int i) {
+      ran_on[i] = std::this_thread::get_id();
+    });
+    finished.set_value();
+  });
+  const bool completed =
+      done.wait_for(kBound) == std::future_status::ready;
+  blocked.Release();
+  side.join();
+  pool.WaitIdle();
+  ASSERT_TRUE(completed);
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+}
+
+// ParallelFor issued from inside a task of the same pool completes: the task
+// claims indices itself instead of waiting for the pool it occupies to go
+// idle. The pool is deliberately leaked if the call never completes, so a
+// regression fails here instead of hanging the suite in ~ThreadPool.
+TEST(ThreadPoolTest, ParallelForFromInsideAPoolTaskCompletes) {
+  auto* pool = new ThreadPool(2);
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  auto finished = std::make_shared<std::promise<void>>();
+  std::future<void> done = finished->get_future();
+  pool->Submit([pool, calls, finished] {
+    pool->ParallelFor(8, [&calls](int) { calls->fetch_add(1); });
+    finished->set_value();
+  });
+  ASSERT_EQ(done.wait_for(kBound), std::future_status::ready);
+  EXPECT_EQ(calls->load(), 8);
+  delete pool;
+}
+
+// Helpers that start after every index is taken return without calling fn:
+// with the lone worker blocked, the caller runs all four indices and its
+// helper stays queued; once released, that helper finds nothing to claim.
+TEST(ThreadPoolTest, LateHelpersNeverCallFn) {
+  ThreadPool pool(1);
+  BlockedWorker blocked(&pool);
+  std::atomic<int> calls{0};
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread side([&] {
+    pool.ParallelFor(4, [&calls](int) { calls.fetch_add(1); });
+    finished.set_value();
+  });
+  const bool completed =
+      done.wait_for(kBound) == std::future_status::ready;
+  const int calls_at_return = calls.load();
+  blocked.Release();
+  side.join();
+  pool.WaitIdle();  // the late helper has run by now
+  ASSERT_TRUE(completed);
+  EXPECT_EQ(calls_at_return, 4);
+  EXPECT_EQ(calls.load(), 4);
 }
 
 TEST(ThreadPoolTest, WaitIdleFromTwoThreadsConcurrently) {

@@ -68,6 +68,30 @@ TEST(RaceStressTest, SubmitWaitIdleParallelForInterleave) {
   EXPECT_EQ(parallel_work.load(), 20 * 16);
 }
 
+// Two callers race each other and the pool's helpers for ParallelFor
+// indices. Each index runs exactly once, and its plain (non-atomic) write is
+// visible to the caller when ParallelFor returns, whichever thread claimed
+// it: TSan checks the claim counter and the completion handshake.
+TEST(RaceStressTest, ConcurrentParallelForCallersRaceHelpersForIndices) {
+  ThreadPool pool(2);
+  std::atomic<int> miscounted{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&pool, &miscounted] {
+      for (int round = 0; round < 200; ++round) {
+        std::vector<int> hits(8, 0);
+        pool.ParallelFor(8, [&hits](int i) { ++hits[i]; });
+        for (const int h : hits) {
+          if (h != 1) miscounted.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  pool.WaitIdle();
+  EXPECT_EQ(miscounted.load(), 0);
+}
+
 TEST(RaceStressTest, ConcurrentWaitIdleBothObserveCompletion) {
   ThreadPool pool(2);
   std::atomic<int> done{0};
@@ -497,12 +521,13 @@ TEST(RaceStressTest, CancellationRacingCompletion) {
 }
 
 // The unified Submit() surface under fire: client threads submit tickets
-// (some through the coalescer's fused path, some cancelled mid-flight via
-// RequestTicket::Cancel) while an ingest thread churns the workload's
+// (some sharing subproblems through the coalescer, some cancelled mid-flight
+// via RequestTicket::Cancel) while an ingest thread churns the workload's
 // generation, forcing invalidation/recompute races in the sharded cache.
-// TSan attacks the lock-free snapshot reads, the coalescer window, and the
-// ticket state; in any build every ticket must resolve exactly once into a
-// valid frontier or an explicit DeadlineExceeded.
+// TSan attacks the lock-free snapshot reads, the coalescer's singleflight
+// registry and memo, and the ticket state; in any build every ticket must
+// resolve exactly once into a valid frontier or an explicit
+// DeadlineExceeded.
 TEST(RaceStressTest, ConcurrentSubmitCancelAndIngest) {
   ModelServer server(InvalidatingServerConfig());
   ServeF1(&server);
@@ -512,7 +537,6 @@ TEST(RaceStressTest, ConcurrentSubmitCancelAndIngest) {
   cfg.udao.solver_threads = 2;
   cfg.udao.frontier_points = 6;
   cfg.admission_threads = 3;
-  cfg.coalesce_max_wait_us = 500.0;  // wide-ish window: force real fusion
 
   const MooProblem problem = testing_problems::ConvexProblem();
   constexpr int kClients = 4;
