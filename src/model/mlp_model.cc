@@ -146,19 +146,16 @@ void MlpModel::GradientBatch(const Matrix& x, Matrix* grads,
   // state of the MOGD loop allocates nothing here.
   thread_local Vector raw;
   mlp_->InputGradientBatch(x, grads, &raw);
+  if (values != nullptr) values->resize(raw.size());
   for (int i = 0; i < grads->rows(); ++i) {
+    // The prediction is both the value and, under log-space targets, the
+    // chain-rule factor of the gradient: one FromTarget serves both.
+    const double value = FromTarget(raw[i] * y_std_ + y_mean_);
+    if (values != nullptr) (*values)[i] = value;
     double scale = y_std_;
-    if (config_.log_transform_targets) {
-      scale *= FromTarget(raw[i] * y_std_ + y_mean_);
-    }
+    if (config_.log_transform_targets) scale *= value;
     double* row = grads->RowPtr(i);
     for (int d = 0; d < grads->cols(); ++d) row[d] *= scale;
-  }
-  if (values != nullptr) {
-    values->resize(raw.size());
-    for (size_t i = 0; i < raw.size(); ++i) {
-      (*values)[i] = FromTarget(raw[i] * y_std_ + y_mean_);
-    }
   }
 }
 

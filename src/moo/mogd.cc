@@ -135,14 +135,17 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveCoFused(
   }
 
   // Rows [p*S, (p+1)*S) of x belong to problem p. Every problem draws its
-  // starts from its own seed and keeps its own Adam moments, incumbents and
-  // spans, so its trajectory is byte-for-byte what a group of one
-  // (SolveCoSeeded(seeds[p])) computes -- batch model evaluation is
-  // row-independent, so co-residency in one fused call changes nothing.
+  // starts from its own seed and keeps its own Adam moments (the same rows
+  // of the shared moment block), incumbents and spans, so its trajectory is
+  // byte-for-byte what a group of one (SolveCoSeeded(seeds[p])) computes --
+  // batch model evaluation is row-independent, so co-residency in one fused
+  // call changes nothing. Every row that steps in iteration i has stepped
+  // in each earlier one (a problem stops for good), so one bias correction
+  // per iteration serves all of them.
   Matrix x(K * S, dim);
   std::vector<Vector> spans(K, Vector(k));
-  std::vector<Adam> adams;
-  adams.reserve(static_cast<size_t>(K) * S);
+  Adam adam(static_cast<size_t>(K) * S * dim,
+            AdamConfig{.learning_rate = config_.learning_rate});
   std::vector<StartBest> best(static_cast<size_t>(K) * S);
   std::vector<SolvePerf> local(K);
   std::vector<char> active(K, 1);
@@ -154,10 +157,6 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveCoFused(
     Rng rng(seeds[p]);
     Matrix starts = DrawStarts(S, dim, &rng);
     std::copy(starts.RowPtr(0), starts.RowPtr(0) + S * dim, x.RowPtr(p * S));
-    for (int s = 0; s < S; ++s) {
-      adams.emplace_back(dim,
-                         AdamConfig{.learning_rate = config_.learning_rate});
-    }
   }
 
   // Fused evaluation over the still-participating problems (`parts`): their
@@ -269,8 +268,7 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveCoFused(
     results[p] = std::move(out);
   };
 
-  Vector loss_grad(dim);
-  Vector xs(dim);
+  Matrix loss_grads(S, dim);
   std::vector<char> stopping(K, 0);
   int remaining = K;
   for (int iter = 0; iter < config_.max_iters && remaining > 0; ++iter) {
@@ -287,6 +285,7 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveCoFused(
     }
     evaluate();
     consider();
+    adam.BeginStep();
     for (int pi = 0; pi < static_cast<int>(parts.size()); ++pi) {
       const int p = parts[pi];
       if (stopping[p]) {
@@ -299,7 +298,8 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveCoFused(
       for (int s = 0; s < S; ++s) {
         const int r = pi * S + s;
         // Loss gradient per Eq. 3 for problem p, start s.
-        std::fill(loss_grad.begin(), loss_grad.end(), 0.0);
+        double* loss_grad = loss_grads.RowPtr(s);
+        std::fill(loss_grad, loss_grad + dim, 0.0);
         for (int j = 0; j < k; ++j) {
           const double fn = (f[j][r] - co.lower[j]) / spans[p][j];
           double coeff = 0.0;
@@ -326,13 +326,13 @@ std::vector<std::optional<CoResult>> MogdSolver::SolveCoFused(
             }
           }
         }
-        double* row = x.RowPtr(p * S + s);
-        xs.assign(row, row + dim);
-        adams[p * S + s].Step(&xs, loss_grad);
-        std::copy(xs.begin(), xs.end(), row);
-        ClipToUnitBox(row, dim);
-        ++local[p].iterations;
       }
+      // Problem p's rows and moments are contiguous: one update for all S
+      // starts, then each row is clipped.
+      adam.Update(static_cast<size_t>(p) * S * dim, x.RowPtr(p * S),
+                  loss_grads.RowPtr(0), S * dim);
+      for (int s = 0; s < S; ++s) ClipToUnitBox(x.RowPtr(p * S + s), dim);
+      local[p].iterations += S;
     }
   }
 
@@ -395,13 +395,8 @@ CoResult MogdSolver::Minimize(const MooProblem& problem, int target,
   std::vector<StartBest> best(S);
   Matrix grads;
   Vector values;
-  Vector xs(dim);
-  Vector grad(dim);
-  std::vector<Adam> adams;
-  adams.reserve(S);
-  for (int s = 0; s < S; ++s) {
-    adams.emplace_back(dim, AdamConfig{.learning_rate = config_.learning_rate});
-  }
+  Adam adam(static_cast<size_t>(S) * dim,
+            AdamConfig{.learning_rate = config_.learning_rate});
 
   for (int iter = 0; iter < config_.max_iters; ++iter) {
     // Anytime stop. Iteration 0 always completes (gradient step + value
@@ -414,14 +409,12 @@ CoResult MogdSolver::Minimize(const MooProblem& problem, int target,
     local.model_evals += S;
     local.batch_calls += 1;
     local.eval_seconds += SecondsSince(g0);
-    for (int s = 0; s < S; ++s) {
-      xs.assign(x.RowPtr(s), x.RowPtr(s) + dim);
-      grad.assign(grads.RowPtr(s), grads.RowPtr(s) + dim);
-      adams[s].Step(&xs, grad);
-      std::copy(xs.begin(), xs.end(), x.RowPtr(s));
-      ClipToUnitBox(x.RowPtr(s), dim);
-      ++local.iterations;
-    }
+    // Every start steps every iteration: one update over the whole
+    // [S, dim] block, then each row is clipped.
+    adam.BeginStep();
+    adam.Update(0, x.RowPtr(0), grads.RowPtr(0), S * dim);
+    for (int s = 0; s < S; ++s) ClipToUnitBox(x.RowPtr(s), dim);
+    local.iterations += S;
     const auto v0 = std::chrono::steady_clock::now();
     problem.EvaluateOneBatch(target, x, &values);
     DCheckFiniteModelOutputs(values);

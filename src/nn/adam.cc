@@ -6,31 +6,37 @@
 
 namespace udao {
 
-Adam::Adam(int dim, AdamConfig config)
+Adam::Adam(size_t dim, AdamConfig config)
     : config_(config), m_(dim, 0.0), v_(dim, 0.0) {
-  UDAO_CHECK_GT(dim, 0);
+  UDAO_CHECK_GT(dim, 0u);
+}
+
+void Adam::BeginStep() {
+  ++t_;
+  step_ = kernels::AdamStep{
+      .beta1 = config_.beta1,
+      .beta2 = config_.beta2,
+      .one_minus_beta1 = 1.0 - config_.beta1,
+      .one_minus_beta2 = 1.0 - config_.beta2,
+      .bias_correction1 = 1.0 - std::pow(config_.beta1, t_),
+      .bias_correction2 = 1.0 - std::pow(config_.beta2, t_),
+      .learning_rate = config_.learning_rate,
+      .epsilon = config_.epsilon,
+  };
+}
+
+void Adam::Update(size_t offset, double* params, const double* grad, int n) {
+  UDAO_CHECK_GT(t_, 0);
+  UDAO_CHECK_LE(offset + n, m_.size());
+  kernels::ActiveTable()->adam(params, grad, m_.data() + offset,
+                               v_.data() + offset, n, step_);
 }
 
 void Adam::Step(Vector* params, const Vector& grad) {
   UDAO_CHECK_EQ(params->size(), m_.size());
   UDAO_CHECK_EQ(grad.size(), m_.size());
-  ++t_;
-  const double bc1 = 1.0 - std::pow(config_.beta1, t_);
-  const double bc2 = 1.0 - std::pow(config_.beta2, t_);
-  for (size_t i = 0; i < m_.size(); ++i) {
-    m_[i] = config_.beta1 * m_[i] + (1.0 - config_.beta1) * grad[i];
-    v_[i] = config_.beta2 * v_[i] + (1.0 - config_.beta2) * grad[i] * grad[i];
-    const double mhat = m_[i] / bc1;
-    const double vhat = v_[i] / bc2;
-    (*params)[i] -=
-        config_.learning_rate * mhat / (std::sqrt(vhat) + config_.epsilon);
-  }
-}
-
-void Adam::Reset() {
-  std::fill(m_.begin(), m_.end(), 0.0);
-  std::fill(v_.begin(), v_.end(), 0.0);
-  t_ = 0;
+  BeginStep();
+  Update(0, params->data(), grad.data(), static_cast<int>(m_.size()));
 }
 
 }  // namespace udao

@@ -1,9 +1,10 @@
 #ifndef UDAO_NN_ADAM_H_
 #define UDAO_NN_ADAM_H_
 
-#include <vector>
+#include <cstddef>
 
 #include "common/matrix.h"
+#include "nn/kernels.h"
 
 namespace udao {
 
@@ -16,29 +17,34 @@ struct AdamConfig {
   double epsilon = 1e-8;
 };
 
-/// Adaptive-moment-estimation optimizer over a flat parameter vector.
-/// Maintains first/second moment estimates and bias correction; each Step
-/// applies one update in place.
+/// Adaptive-moment-estimation optimizer over a block of `dim` parameters.
+/// The parameters may live in several buffers (an Mlp's layers, the rows of
+/// a multistart matrix): moment i belongs to parameter i of the caller's
+/// layout. A step is BeginStep(), which computes the bias corrections once,
+/// then Update() over the ranges the step moves, in place; each range runs
+/// the active kernel table's adam entry, which gives the same bits in every
+/// backend.
 class Adam {
  public:
-  Adam(int dim, AdamConfig config = AdamConfig());
+  explicit Adam(size_t dim, AdamConfig config = AdamConfig());
 
-  /// Applies one Adam update: params -= lr * mhat / (sqrt(vhat) + eps).
-  /// `params` and `grad` must both have the configured dimension.
+  /// Starts the next step: advances the step counter t and computes
+  /// 1 - beta^t for both moments.
+  void BeginStep();
+
+  /// Applies the current step to params[0, n), the parameters at
+  /// [offset, offset + n) of the block, whose gradient is grad[0, n).
+  void Update(size_t offset, double* params, const double* grad, int n);
+
+  /// One whole step over all `dim` parameters.
   void Step(Vector* params, const Vector& grad);
-
-  /// Resets moments and the step counter (e.g. for a new multi-start trial).
-  void Reset();
-
-  int step_count() const { return t_; }
-  const AdamConfig& config() const { return config_; }
-  void set_learning_rate(double lr) { config_.learning_rate = lr; }
 
  private:
   AdamConfig config_;
   Vector m_;
   Vector v_;
   int t_ = 0;
+  kernels::AdamStep step_{};
 };
 
 }  // namespace udao

@@ -18,6 +18,10 @@
 //    uses 1e-12 headroom per element; DESIGN.md "Kernel layer" documents the
 //    contract). AVX2 reassociates dot sums (4 vector accumulators) and
 //    contracts mul+add to FMA, which is where the low-bit drift comes from.
+//  - The Adam update is the exception: both backends perform the same
+//    correctly rounded mul/add/div/sqrt per element in the same order, so
+//    they agree bit for bit. Its AVX2 entry is compiled for "avx2" alone:
+//    without "fma" in the target the compiler cannot contract a mul+add.
 #include "nn/kernels.h"
 
 #include <cmath>
@@ -93,9 +97,23 @@ void GemmNnScalar(const double* a, int rows, int k, const double* b, int cols,
   }
 }
 
+// The reference Adam update: one element at a time, in the table's order.
+UDAO_KERNEL_ALIGNED
+void AdamScalar(double* params, const double* grad, double* m, double* v,
+                int n, const AdamStep& step) {
+  for (int i = 0; i < n; ++i) {
+    m[i] = step.beta1 * m[i] + step.one_minus_beta1 * grad[i];
+    v[i] = step.beta2 * v[i] + step.one_minus_beta2 * grad[i] * grad[i];
+    const double mhat = m[i] / step.bias_correction1;
+    const double vhat = v[i] / step.bias_correction2;
+    params[i] -=
+        step.learning_rate * mhat / (std::sqrt(vhat) + step.epsilon);
+  }
+}
+
 const KernelTable kScalarTable = {
-    Backend::kScalar, "scalar",           &DotScalar,
-    &AxpyScalar,      &LayerForwardScalar, &GemmNnScalar,
+    Backend::kScalar, "scalar",            &DotScalar,    &AxpyScalar,
+    &LayerForwardScalar, &GemmNnScalar,    &AdamScalar,
 };
 
 // -------------------------------------------------------------------- avx2
@@ -106,12 +124,11 @@ const KernelTable kScalarTable = {
 
 #if UDAO_KERNELS_X86
 
-// Reduction order of every AVX2 dot product: (acc0+acc1)+(acc2+acc3), then
-// low lane pair + high lane pair, then the two scalars.
-__attribute__((target("avx2,fma"))) inline double HorizontalSum(
-    __m256d acc0, __m256d acc1, __m256d acc2, __m256d acc3) {
-  const __m256d acc =
-      _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3));
+// Reduction order of every AVX2 dot product: (acc0+acc1)+(acc2+acc3) over
+// its four accumulators, then (LaneSum) low lane pair + high lane pair, then
+// the two scalars.
+__attribute__((target("avx2,fma"), always_inline)) inline double LaneSum(
+    __m256d acc) {
   const __m128d lo = _mm256_castpd256_pd128(acc);
   const __m128d hi = _mm256_extractf128_pd(acc, 1);
   const __m128d pair = _mm_add_pd(lo, hi);
@@ -140,7 +157,8 @@ __attribute__((target("avx2,fma"))) double DotAvx2(const double* a,
     acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i),
                            acc0);
   }
-  double acc = HorizontalSum(acc0, acc1, acc2, acc3);
+  double acc = LaneSum(
+      _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3)));
   for (; i < n; ++i) acc = std::fma(a[i], b[i], acc);
   return acc;
 }
@@ -205,8 +223,8 @@ __attribute__((target("avx2,fma"), always_inline)) inline void DotPairAvx2(
   *s1 = _mm256_add_pd(_mm256_add_pd(q0, q1), _mm256_add_pd(q2, q3));
 }
 
-// HorizontalSum's lane additions for four dot products at once: lane c of
-// the result is (s_c[0] + s_c[2]) + (s_c[1] + s_c[3]), operand for operand.
+// LaneSum's additions for four dot products at once: lane c of the result
+// is (s_c[0] + s_c[2]) + (s_c[1] + s_c[3]), operand for operand.
 __attribute__((target("avx2,fma"), always_inline)) inline __m256d
 HorizontalSum4(__m256d s0, __m256d s1, __m256d s2, __m256d s3) {
   const __m256d s02 = _mm256_add_pd(_mm256_permute2f128_pd(s0, s2, 0x20),
@@ -218,20 +236,23 @@ HorizontalSum4(__m256d s0, __m256d s1, __m256d s2, __m256d s3) {
 
 // Four outputs per step: two DotPairAvx2 passes share each input row's
 // loads, HorizontalSum4 finishes the four sums together, and bias + ReLU run
-// on the vector. in_dim % 4 tails finish per output as in DotAvx2, and
-// out_dim % 4 leftover outputs take DotAvx2 itself.
+// on the vector. in_dim % 4 tails finish per output as in DotAvx2. The
+// out_dim % 4 leftover outputs (a 1-output layer is all leftover) take two
+// rows per DotPairAvx2 pass with the weight row as the shared operand:
+// fma(w, a, acc) and fma(a, w, acc) round the same exact product, so each
+// sum keeps DotAvx2's bits. An odd last row takes DotAvx2 itself.
 UDAO_KERNEL_ALIGNED
 __attribute__((target("avx2,fma"))) void LayerForwardAvx2(
     const double* in, int rows, int in_dim, const double* w,
     const double* bias, int out_dim, Fused fuse, double* out) {
   const size_t stride = static_cast<size_t>(in_dim);
   const int vec_end = in_dim & ~3;
+  const int left = out_dim & ~3;  // first leftover output
   const __m256d zero = _mm256_setzero_pd();
-  for (int r = 0; r < rows; ++r) {
+  for (int r = 0; r < rows && left > 0; ++r) {
     const double* a = in + r * stride;
     double* o = out + static_cast<size_t>(r) * out_dim;
-    int c = 0;
-    for (; c + 4 <= out_dim; c += 4) {
+    for (int c = 0; c < left; c += 4) {
       const double* w0 = w + c * stride;
       __m256d s0;
       __m256d s1;
@@ -259,10 +280,38 @@ __attribute__((target("avx2,fma"))) void LayerForwardAvx2(
       }
       _mm256_storeu_pd(o + c, acc);
     }
-    for (; c < out_dim; ++c) {
-      double acc = DotAvx2(a, w + c * stride, in_dim);
-      acc += bias[c];
-      o[c] = (fuse == Fused::kBiasRelu && !(acc > 0.0)) ? 0.0 : acc;
+  }
+  if (left == out_dim) return;
+  auto finish = [&](double z, int c) {
+    z += bias[c];
+    return (fuse == Fused::kBiasRelu && !(z > 0.0)) ? 0.0 : z;
+  };
+  int r = 0;
+  for (; r + 2 <= rows; r += 2) {
+    const double* a0 = in + r * stride;
+    const double* a1 = a0 + stride;
+    double* o0 = out + static_cast<size_t>(r) * out_dim;
+    double* o1 = o0 + out_dim;
+    for (int c = left; c < out_dim; ++c) {
+      const double* wc = w + c * stride;
+      __m256d s0;
+      __m256d s1;
+      DotPairAvx2(wc, a0, a1, in_dim, &s0, &s1);
+      double z0 = LaneSum(s0);
+      double z1 = LaneSum(s1);
+      for (int i = vec_end; i < in_dim; ++i) {
+        z0 = std::fma(a0[i], wc[i], z0);
+        z1 = std::fma(a1[i], wc[i], z1);
+      }
+      o0[c] = finish(z0, c);
+      o1[c] = finish(z1, c);
+    }
+  }
+  if (r < rows) {
+    const double* a = in + r * stride;
+    double* o = out + static_cast<size_t>(r) * out_dim;
+    for (int c = left; c < out_dim; ++c) {
+      o[c] = finish(DotAvx2(a, w + c * stride, in_dim), c);
     }
   }
 }
@@ -368,9 +417,48 @@ __attribute__((target("avx2,fma"))) void GemmNnAvx2(const double* a, int rows,
   }
 }
 
+// AdamScalar four elements per step: the same operations on the same
+// operands, each correctly rounded, so the lanes equal the scalar loop bit
+// for bit. "avx2" without "fma" keeps the compiler from contracting any
+// mul+add here; the n % 4 tail is AdamScalar itself.
+UDAO_KERNEL_ALIGNED
+__attribute__((target("avx2"))) void AdamAvx2(double* params,
+                                              const double* grad, double* m,
+                                              double* v, int n,
+                                              const AdamStep& step) {
+  const __m256d beta1 = _mm256_set1_pd(step.beta1);
+  const __m256d beta2 = _mm256_set1_pd(step.beta2);
+  const __m256d one_minus_beta1 = _mm256_set1_pd(step.one_minus_beta1);
+  const __m256d one_minus_beta2 = _mm256_set1_pd(step.one_minus_beta2);
+  const __m256d bias_correction1 = _mm256_set1_pd(step.bias_correction1);
+  const __m256d bias_correction2 = _mm256_set1_pd(step.bias_correction2);
+  const __m256d learning_rate = _mm256_set1_pd(step.learning_rate);
+  const __m256d epsilon = _mm256_set1_pd(step.epsilon);
+  int i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d g = _mm256_loadu_pd(grad + i);
+    const __m256d mi =
+        _mm256_add_pd(_mm256_mul_pd(beta1, _mm256_loadu_pd(m + i)),
+                      _mm256_mul_pd(one_minus_beta1, g));
+    const __m256d vi = _mm256_add_pd(
+        _mm256_mul_pd(beta2, _mm256_loadu_pd(v + i)),
+        _mm256_mul_pd(_mm256_mul_pd(one_minus_beta2, g), g));
+    _mm256_storeu_pd(m + i, mi);
+    _mm256_storeu_pd(v + i, vi);
+    const __m256d mhat = _mm256_div_pd(mi, bias_correction1);
+    const __m256d vhat = _mm256_div_pd(vi, bias_correction2);
+    const __m256d delta =
+        _mm256_div_pd(_mm256_mul_pd(learning_rate, mhat),
+                      _mm256_add_pd(_mm256_sqrt_pd(vhat), epsilon));
+    _mm256_storeu_pd(params + i,
+                     _mm256_sub_pd(_mm256_loadu_pd(params + i), delta));
+  }
+  AdamScalar(params + i, grad + i, m + i, v + i, n - i, step);
+}
+
 const KernelTable kAvx2Table = {
-    Backend::kAvx2, "avx2",            &DotAvx2,
-    &AxpyAvx2,      &LayerForwardAvx2, &GemmNnAvx2,
+    Backend::kAvx2, "avx2",            &DotAvx2,    &AxpyAvx2,
+    &LayerForwardAvx2, &GemmNnAvx2,    &AdamAvx2,
 };
 
 #endif  // UDAO_KERNELS_X86

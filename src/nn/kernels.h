@@ -11,11 +11,12 @@ namespace kernels {
 
 /// The dense-kernel backends. Exactly one is active per process; it is chosen
 /// once at startup (see ActiveTable) and every dense primitive in the
-/// codebase -- Matrix products, the MLP forward/backward GEMMs, Adam's axpy
+/// codebase -- Matrix products, the MLP forward/backward GEMMs, Adam
 /// updates -- routes through it. Within one backend, a row's results are
 /// the same in any batch and equal the per-sample reference loops in
-/// tests/ bit for bit; across backends results may differ in the last bits
-/// (the tolerance contract pinned by kernel_parity_test and DESIGN.md).
+/// tests/ bit for bit; across backends the reductions may differ in the last
+/// bits (the tolerance contract pinned by kernel_parity_test and DESIGN.md),
+/// while the elementwise Adam update is bitwise-identical.
 enum class Backend {
   /// Portable reference kernels: bitwise-identical to the plain loops the
   /// Matrix/Mlp code used before the kernel layer existed. Elementwise axpy
@@ -23,8 +24,8 @@ enum class Backend {
   /// products stay a single sequential accumulation chain.
   kScalar,
   /// AVX2+FMA intrinsics (x86-64 only): 4-accumulator dot products, fused
-  /// multiply-add axpy, and register-blocked layer_forward and gemm_nn
-  /// built from them. Requires CpuSupportsAvx2().
+  /// multiply-add axpy, register-blocked layer_forward and gemm_nn built
+  /// from them, and an Adam update without FMA. Requires CpuSupportsAvx2().
   kAvx2,
 };
 
@@ -35,6 +36,19 @@ enum class Fused {
   kBias,
   /// out = relu(in * W^T + bias) -- the hidden-layer hot path.
   kBiasRelu,
+};
+
+/// The constants of one Adam step, shared by every parameter it updates
+/// (nn/adam.h computes them once per step).
+struct AdamStep {
+  double beta1;
+  double beta2;
+  double one_minus_beta1;    ///< 1 - beta1
+  double one_minus_beta2;    ///< 1 - beta2
+  double bias_correction1;   ///< 1 - beta1^t
+  double bias_correction2;   ///< 1 - beta2^t
+  double learning_rate;
+  double epsilon;
 };
 
 /// One backend's kernel set. All pointers are non-null. Rows are contiguous
@@ -62,6 +76,15 @@ struct KernelTable {
   /// batched backprop bitwise-equal to a per-sample loop within a backend.
   void (*gemm_nn)(const double* a, int rows, int k, const double* b, int cols,
                   double* out);
+  /// One Adam update of params[0, n) in place, with moments m and v. Each
+  /// element is, in this order and without fused multiply-adds,
+  ///   m = beta1 * m + (1 - beta1) * g
+  ///   v = beta2 * v + ((1 - beta2) * g) * g
+  ///   p = p - (lr * (m / bc1)) / (sqrt(v / bc2) + eps)
+  /// so every backend returns the same bits (IEEE mul, add, div and sqrt
+  /// are correctly rounded).
+  void (*adam)(double* params, const double* grad, double* m, double* v,
+               int n, const AdamStep& step);
 };
 
 /// True when the CPU executes AVX2+FMA (always false off x86-64).

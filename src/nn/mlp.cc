@@ -100,7 +100,12 @@ void Mlp::Backward(const Matrix& x, const std::vector<const double*>& post,
       const size_t count = static_cast<size_t>(rows) * width;
       if (config_.activation == Activation::kRelu) {
         // post > 0 iff pre > 0 for relu: the subgradient is 0 at the kink.
-        for (size_t i = 0; i < count; ++i) delta[i] *= p[i] > 0.0 ? 1.0 : 0.0;
+        // The factor is a converted comparison: `p > 0 ? 1.0 : 0.0` compiles
+        // to a branch, which mispredicts on about half of the units.
+        for (size_t i = 0; i < count; ++i) {
+          const double keep = p[i] > 0.0;
+          delta[i] *= keep;
+        }
       } else {
         for (size_t i = 0; i < count; ++i) delta[i] *= 1.0 - p[i] * p[i];
       }
@@ -260,15 +265,17 @@ double Mlp::ForwardBackward(const Matrix& x, const Vector& y,
   }
   loss /= batch;
   Backward(x, post, delta, &arena, grads, nullptr);
-  // L2 regularization on weights (not biases).
+  // L2 regularization on weights (not biases). The loss terms add up in
+  // weight order, one chain; the gradient terms are independent per weight.
   if (config_.l2 > 0.0) {
+    const double l2 = config_.l2;
+    const double two_l2 = 2.0 * l2;
     for (size_t l = 0; l < layers_.size(); ++l) {
-      const Matrix& w = layers_[l].w;
-      Matrix& dw = (*grads)[l].dw;
-      for (size_t i = 0; i < w.data().size(); ++i) {
-        loss += config_.l2 * w.data()[i] * w.data()[i];
-        dw.data()[i] += 2.0 * config_.l2 * w.data()[i];
-      }
+      const double* w = layers_[l].w.data().data();
+      double* dw = (*grads)[l].dw.data().data();
+      const size_t count = layers_[l].w.data().size();
+      for (size_t i = 0; i < count; ++i) loss += l2 * w[i] * w[i];
+      for (size_t i = 0; i < count; ++i) dw[i] += two_l2 * w[i];
     }
   }
   return loss;

@@ -7,7 +7,8 @@
 //  * across backends, every primitive and the batched MLP entry points built
 //    on them (PredictBatch / GradientBatch) agree to a tight relative
 //    tolerance -- AVX2's multi-accumulator reductions and FMA contraction
-//    may differ from the scalar chain only in the last bits;
+//    may differ from the scalar chain only in the last bits -- except the
+//    elementwise Adam update, which must agree bit for bit;
 //  * the UDAO_KERNEL environment contract holds (the CI parity matrix runs
 //    this binary once per backend);
 //  * the KernelArena stops touching the heap after the first iteration of a
@@ -91,7 +92,9 @@ TEST(KernelParityTest, ActiveBackendHonorsEnvironment) {
 // blocks), plus the served 12-64-64-1 and paper 4x128 layer widths.
 constexpr int kShapeInDims[] = {1,  3,  4,  5,  7,  12,  15,
                                 16, 17, 31, 64, 65, 128, 129};
-constexpr int kShapeOutDims[] = {1, 3, 4, 5, 8, 9, 64, 65};
+// out_dim % 4 leftovers of 1, 2 and 3 outputs, alone and after full
+// 4-output groups; rows 1 to 9 reach the leftover row pairs and the odd row.
+constexpr int kShapeOutDims[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 65};
 // gemm_nn column counts: a column block of each width from 1 to 8 vectors
 // (4 to 32 columns), with and without a cols % 4 tail, and rows spanning
 // more than one 8-vector block.
@@ -240,6 +243,85 @@ TEST(KernelParityTest, GemmNnMatchesPerRowAxpyLoopBitwise) {
       }
     }
   }
+}
+
+// The Adam entry is elementwise IEEE mul/add/div/sqrt in one fixed order,
+// so the AVX2 backend must reproduce the scalar one exactly: every length
+// 1-67 (each n % 4 tail, after 0 to 16 vector steps), at a misaligned
+// start, for zero, negative, tiny (subnormal), large and random gradients
+// over nonzero moments, at the first step and at a step count where both
+// bias corrections have reached 1.
+TEST(KernelParityTest, AdamIsBitwiseEqualAcrossBackends) {
+  if (!kernels::CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this host";
+  const KernelTable* scalar = kernels::TableForBackend(Backend::kScalar);
+  const KernelTable* avx2 = kernels::TableForBackend(Backend::kAvx2);
+  auto make_step = [](int t) {
+    const double beta1 = 0.9;
+    const double beta2 = 0.999;
+    return kernels::AdamStep{
+        .beta1 = beta1,
+        .beta2 = beta2,
+        .one_minus_beta1 = 1.0 - beta1,
+        .one_minus_beta2 = 1.0 - beta2,
+        .bias_correction1 = 1.0 - std::pow(beta1, t),
+        .bias_correction2 = 1.0 - std::pow(beta2, t),
+        .learning_rate = 0.1,
+        .epsilon = 1e-8,
+    };
+  };
+  auto gradient = [](int kind, int n, uint64_t seed) {
+    Vector g = RandomVector(n + 1, seed);
+    for (double& x : g) {
+      switch (kind) {
+        case 0: x = 0.0; break;
+        case 1: x = -std::fabs(x); break;
+        case 2: x *= 1e-310; break;
+        case 3: x *= 1e150; break;
+        default: break;
+      }
+    }
+    return g;
+  };
+  int steps = 0;
+  for (int t : {1, 2, 1000000}) {
+    const kernels::AdamStep step = make_step(t);
+    for (int kind = 0; kind < 5; ++kind) {
+      for (int n = 1; n <= 67; ++n) {
+        const Vector g = gradient(kind, n, 61 * n + kind);
+        Vector p_s = RandomVector(n + 1, 62 * n);
+        Vector m_s = RandomVector(n + 1, 63 * n);
+        Vector v_s = RandomVector(n + 1, 64 * n);
+        for (double& v : v_s) v = std::fabs(v);
+        if (t == 1) {
+          std::fill(m_s.begin(), m_s.end(), 0.0);
+          std::fill(v_s.begin(), v_s.end(), 0.0);
+        }
+        Vector p_v = p_s;
+        Vector m_v = m_s;
+        Vector v_v = v_s;
+        // Two consecutive updates at offset 1, so the second reads moments
+        // the first wrote.
+        for (int rep = 0; rep < 2; ++rep) {
+          scalar->adam(p_s.data() + 1, g.data() + 1, m_s.data() + 1,
+                       v_s.data() + 1, n, step);
+          avx2->adam(p_v.data() + 1, g.data() + 1, m_v.data() + 1,
+                     v_v.data() + 1, n, step);
+          ++steps;
+        }
+        for (int i = 0; i <= n; ++i) {
+          ASSERT_TRUE(SameBits(p_s[i], p_v[i]) && SameBits(m_s[i], m_v[i]) &&
+                      SameBits(v_s[i], v_v[i]))
+              << "t " << t << " gradient kind " << kind << " n " << n
+              << " i " << i << ": params " << p_s[i] << " vs " << p_v[i]
+              << ", m " << m_s[i] << " vs " << m_v[i] << ", v " << v_s[i]
+              << " vs " << v_v[i];
+        }
+      }
+    }
+  }
+  EXPECT_EQ(steps, 3 * 5 * 67 * 2);
+  EXPECT_EQ(make_step(1000000).bias_correction1, 1.0);
+  EXPECT_EQ(make_step(1000000).bias_correction2, 1.0);
 }
 
 TEST(KernelParityTest, DotAgreesAcrossBackends) {

@@ -3,18 +3,24 @@
 
 // One-point-at-a-time MLP passes: the per-sample forward (a matrix-vector
 // product per layer), back-propagation by transposed matrix-vector products,
-// and the MC-dropout loop, as the network is usually written down. Kept only
-// as the reference the batched Mlp passes must reproduce bit for bit within
-// a kernel backend; nothing outside tests/ calls these.
+// and the MC-dropout loop, as the network is usually written down; plus the
+// trainer as first written, which flattens the parameters and gradients and
+// steps them with a plain Adam loop. Kept only as the reference the batched
+// Mlp passes and TrainMlp must reproduce bit for bit within a kernel
+// backend; nothing outside tests/ calls these.
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/matrix.h"
 #include "common/random.h"
+#include "nn/adam.h"
 #include "nn/kernels.h"
 #include "nn/mlp.h"
+#include "nn/train.h"
 
 namespace udao {
 namespace testing_reference {
@@ -153,6 +159,93 @@ inline void ReferencePredictWithUncertainty(const Mlp& mlp, const Vector& x,
           ? std::max(0.0, (sum_sq - sum * sum / samples) / (samples - 1))
           : 0.0;
   *stddev = std::sqrt(var);
+}
+
+/// Adam over one flat parameter vector, one plain loop per step with the
+/// bias corrections computed in the step.
+class ReferenceAdam {
+ public:
+  ReferenceAdam(size_t dim, AdamConfig config)
+      : config_(config), m_(dim, 0.0), v_(dim, 0.0) {}
+
+  void Step(Vector* params, const Vector& grad) {
+    ++t_;
+    const double bc1 = 1.0 - std::pow(config_.beta1, t_);
+    const double bc2 = 1.0 - std::pow(config_.beta2, t_);
+    for (size_t i = 0; i < m_.size(); ++i) {
+      m_[i] = config_.beta1 * m_[i] + (1.0 - config_.beta1) * grad[i];
+      v_[i] =
+          config_.beta2 * v_[i] + (1.0 - config_.beta2) * grad[i] * grad[i];
+      const double mhat = m_[i] / bc1;
+      const double vhat = v_[i] / bc2;
+      (*params)[i] -=
+          config_.learning_rate * mhat / (std::sqrt(vhat) + config_.epsilon);
+    }
+  }
+
+ private:
+  AdamConfig config_;
+  Vector m_;
+  Vector v_;
+  int t_ = 0;
+};
+
+/// TrainMlp as first written: each mini-batch runs ReferenceForwardBackward,
+/// then its gradients are flattened in Snapshot() order and the whole
+/// Snapshot() is stepped by ReferenceAdam and Restore()d; the best epoch's
+/// Snapshot() is restored at the end.
+inline TrainResult ReferenceTrainMlp(Mlp* mlp, const Matrix& x,
+                                     const Vector& y,
+                                     const TrainConfig& config, Rng* rng) {
+  const int n = x.rows();
+  const int batch_size = std::min(config.batch_size, n);
+  Vector params = mlp->Snapshot();
+  ReferenceAdam adam(params.size(),
+                     AdamConfig{.learning_rate = config.learning_rate});
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  TrainResult result;
+  result.best_loss = std::numeric_limits<double>::infinity();
+  Vector best_snapshot = params;
+  int since_best = 0;
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    rng->Shuffle(&order);
+    double epoch_loss = 0.0;
+    int num_batches = 0;
+    for (int start = 0; start < n; start += batch_size) {
+      const int end = std::min(start + batch_size, n);
+      Matrix bx(end - start, x.cols());
+      Vector by(end - start);
+      for (int i = start; i < end; ++i) {
+        for (int c = 0; c < x.cols(); ++c) bx(i - start, c) = x(order[i], c);
+        by[i - start] = y[order[i]];
+      }
+      std::vector<Mlp::LayerGrad> grads = mlp->ZeroGrads();
+      epoch_loss += ReferenceForwardBackward(*mlp, bx, by, &grads);
+      ++num_batches;
+      Vector flat;
+      for (const Mlp::LayerGrad& g : grads) {
+        flat.insert(flat.end(), g.dw.data().begin(), g.dw.data().end());
+        flat.insert(flat.end(), g.db.begin(), g.db.end());
+      }
+      params = mlp->Snapshot();
+      adam.Step(&params, flat);
+      mlp->Restore(params);
+    }
+    epoch_loss /= std::max(1, num_batches);
+    result.final_loss = epoch_loss;
+    result.epochs_run = epoch + 1;
+    if (epoch_loss < result.best_loss) {
+      result.best_loss = epoch_loss;
+      best_snapshot = mlp->Snapshot();
+      since_best = 0;
+    } else if (config.early_stop_patience > 0 &&
+               ++since_best >= config.early_stop_patience) {
+      break;
+    }
+  }
+  mlp->Restore(best_snapshot);
+  return result;
 }
 
 }  // namespace testing_reference

@@ -6,7 +6,9 @@
 
 #include "common/matrix.h"
 #include "common/random.h"
+#include "common/stats.h"
 #include "mlp_reference.h"
+#include "model/mlp_model.h"
 #include "nn/adam.h"
 #include "nn/mlp.h"
 #include "nn/train.h"
@@ -17,6 +19,7 @@ namespace {
 using testing_reference::ReferenceForwardBackward;
 using testing_reference::ReferenceInputGradient;
 using testing_reference::ReferencePredictWithUncertainty;
+using testing_reference::ReferenceTrainMlp;
 
 MlpConfig SmallConfig(Activation act = Activation::kTanh) {
   MlpConfig cfg;
@@ -328,15 +331,6 @@ TEST(AdamTest, ConvergesOnQuadraticBowl) {
   EXPECT_NEAR(p[1], -2.0, 1e-3);
 }
 
-TEST(AdamTest, ResetClearsMoments) {
-  Vector p = {1.0};
-  Adam adam(1);
-  adam.Step(&p, {1.0});
-  EXPECT_EQ(adam.step_count(), 1);
-  adam.Reset();
-  EXPECT_EQ(adam.step_count(), 0);
-}
-
 TEST(AdamTest, FirstStepHasMagnitudeNearLearningRate) {
   // Adam's bias correction makes the first step ~lr regardless of grad scale.
   Vector p = {0.0};
@@ -419,6 +413,130 @@ TEST(TrainTest, FineTuningImprovesShiftedTarget) {
   ft.learning_rate = 1e-3;
   TrainResult result = TrainMlp(&mlp, x, y2, ft, &rng);
   EXPECT_LT(result.best_loss, before / n);
+}
+
+// Bits of a TrainResult, for bitwise comparison.
+Vector ResultBits(const TrainResult& r) {
+  return {r.final_loss, r.best_loss, static_cast<double>(r.epochs_run)};
+}
+
+// TrainMlp steps each layer in place; ReferenceTrainMlp flattens, steps the
+// whole snapshot with a plain Adam loop and restores it. The final weights,
+// the TrainResult and the generator state must match bit for bit. 37 rows
+// in batches of 8 end in a short batch of 5; layer widths give the Adam
+// kernel ranges with every n % 4 tail. With patience 3 the run must stop
+// early, so the best-checkpoint restore is reached from both exits.
+TEST(TrainTest, InPlaceTrainingMatchesFlattenedReferenceBitwise) {
+  for (const Activation act : {Activation::kRelu, Activation::kTanh}) {
+    for (const int patience : {0, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (act == Activation::kRelu ? "relu" : "tanh")
+                   << " patience " << patience);
+      MlpConfig cfg;
+      cfg.layer_sizes = {5, 17, 10, 1};
+      cfg.activation = act;
+      cfg.l2 = 1e-3;
+      Rng init(41);
+      Mlp mlp(cfg, &init);
+      Mlp ref = mlp;
+      const int n = 37;
+      Matrix x(n, 5);
+      Vector y(n);
+      for (int r = 0; r < n; ++r) {
+        for (int c = 0; c < 5; ++c) x(r, c) = init.Uniform();
+        y[r] = std::sin(3.0 * x(r, 0)) + x(r, 1) * x(r, 2);
+      }
+      TrainConfig tc;
+      tc.epochs = 150;
+      tc.batch_size = 8;
+      tc.learning_rate = 0.05;
+      tc.early_stop_patience = patience;
+      Rng rng(43);
+      Rng ref_rng(43);
+      const TrainResult got = TrainMlp(&mlp, x, y, tc, &rng);
+      const TrainResult want = ReferenceTrainMlp(&ref, x, y, tc, &ref_rng);
+      if (patience > 0) {
+        EXPECT_LT(want.epochs_run, tc.epochs) << "early stop not reached";
+      } else {
+        EXPECT_EQ(want.epochs_run, tc.epochs);
+      }
+      EXPECT_EQ(DifferingBits(mlp.Snapshot(), ref.Snapshot()), 0)
+          << "weights and biases";
+      EXPECT_EQ(DifferingBits(ResultBits(got), ResultBits(want)), 0)
+          << "final loss " << got.final_loss << " vs " << want.final_loss
+          << ", best loss " << got.best_loss << " vs " << want.best_loss
+          << ", epochs " << got.epochs_run << " vs " << want.epochs_run;
+      EXPECT_EQ(rng.engine()(), ref_rng.engine()()) << "generator state";
+    }
+  }
+}
+
+// MlpModel::Fit and FineTune train through TrainMlp: both must match the
+// reference trainer on the same network, normalized log-space targets and
+// generator, bit for bit (the served DNN's path).
+TEST(TrainTest, MlpModelFitAndFineTuneMatchFlattenedReferenceBitwise) {
+  MlpModelConfig cfg;
+  cfg.hidden = {16, 9};
+  cfg.log_transform_targets = true;
+  cfg.l2 = 1e-4;
+  cfg.train.epochs = 30;
+  cfg.train.batch_size = 16;
+  cfg.train.learning_rate = 5e-3;
+  Rng data(47);
+  auto make_data = [&](int rows, double scale, Matrix* x, Vector* y) {
+    *x = Matrix(rows, 4);
+    y->resize(rows);
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < 4; ++c) (*x)(r, c) = data.Uniform();
+      (*y)[r] = scale * std::exp((*x)(r, 0) - 0.5 * (*x)(r, 3));
+    }
+  };
+  Matrix x;
+  Vector y;
+  make_data(44, 10.0, &x, &y);
+  Rng rng(53);
+  auto fitted = MlpModel::Fit(x, y, cfg, &rng);
+  ASSERT_TRUE(fitted.ok());
+  std::shared_ptr<MlpModel> model = *fitted;
+
+  // Fit's steps, spelled out: network, normalized log targets, training.
+  Rng ref_rng(53);
+  MlpConfig net;
+  net.layer_sizes = {4, 16, 9, 1};
+  net.activation = cfg.activation;
+  net.l2 = cfg.l2;
+  net.dropout = cfg.dropout;
+  Mlp ref(net, &ref_rng);
+  Vector t(y.size());
+  for (size_t i = 0; i < y.size(); ++i) t[i] = std::log(std::max(1e-9, y[i]));
+  const double y_mean = Mean(t);
+  const double y_std = std::max(1e-9, StdDev(t));
+  auto normalize = [&](const Vector& v) {
+    Vector z(v.size());
+    for (size_t i = 0; i < v.size(); ++i) {
+      z[i] = (std::log(std::max(1e-9, v[i])) - y_mean) / y_std;
+    }
+    return z;
+  };
+  ReferenceTrainMlp(&ref, x, normalize(y), cfg.train, &ref_rng);
+  EXPECT_EQ(DifferingBits(model->mlp().Snapshot(), ref.Snapshot()), 0)
+      << "fitted weights";
+
+  // FineTune: fewer epochs at a tenth of the learning rate, on new traces
+  // (21 rows: one full batch and a short one).
+  Matrix x2;
+  Vector y2;
+  make_data(21, 11.0, &x2, &y2);
+  const TrainResult got = model->FineTune(x2, y2, 12, &rng);
+  TrainConfig ft = cfg.train;
+  ft.epochs = 12;
+  ft.learning_rate = cfg.train.learning_rate * 0.1;
+  const TrainResult want = ReferenceTrainMlp(&ref, x2, normalize(y2), ft,
+                                             &ref_rng);
+  EXPECT_EQ(DifferingBits(model->mlp().Snapshot(), ref.Snapshot()), 0)
+      << "fine-tuned weights";
+  EXPECT_EQ(DifferingBits(ResultBits(got), ResultBits(want)), 0);
+  EXPECT_EQ(rng.engine()(), ref_rng.engine()()) << "generator state";
 }
 
 }  // namespace

@@ -37,6 +37,12 @@
 #   9. clang-tidy     -- tools/tidy.sh (skipped automatically when
 #                        clang-tidy is not installed)
 #
+# Not a stage: tools/same_bits.sh <base-ref> [seconds] checks that a change
+# serves the same bits as a base commit. It builds perfbench at <base-ref>
+# (from a git archive) and in the working tree, runs cold_solve seeds 1-3
+# under UDAO_KERNEL=avx2 and scalar, fails when a run keeps fewer than 16
+# frontiers, and compares the digests pair by pair.
+#
 # Usage: tools/check.sh [--tier1-only | --help]
 set -euo pipefail
 

@@ -4,10 +4,13 @@
 # checked whatever the CPU would auto-select:
 #
 #   kernel_parity_test  within-backend bitwise kernel contracts, cross-backend
-#                       tolerance, the UDAO_KERNEL contract, the arena
+#                       tolerance, the adam entry bitwise across backends,
+#                       the UDAO_KERNEL contract, the arena
 #   batch_eval_test     batched model calls == per-row calls, and lockstep
 #                       MOGD == tests/mogd_reference.h, bitwise
-#   nn_test             batched MLP passes == tests/mlp_reference.h, bitwise
+#   nn_test             batched MLP passes == tests/mlp_reference.h, and
+#                       TrainMlp, MlpModel::Fit and FineTune == its
+#                       flatten-and-restore trainer, bitwise
 #   determinism_test    2- vs 8-thread Udao::Optimize, bitwise
 #   mogd_test           MOGD solves: seeded repeats and batch == sequential,
 #                       bitwise; agreement with exhaustive search
