@@ -1,9 +1,10 @@
-// Micro-benchmark of the dispatched dense kernels (nn/kernels.h) on the
-// paper's 4x128 ReLU latency-model topology: a batch-size sweep of
-// PredictBatch and InputGradientBatch per kernel backend. This is the
-// shape MOGD's lockstep descent actually runs -- the multistart batch is
-// the row count -- so the scalar-vs-avx2 columns here are the microscopic
-// version of the bench_mogd_solver end-to-end speedup.
+// Micro-benchmark of the dispatched dense kernels (nn/kernels.h): a
+// batch-size sweep of PredictBatch and InputGradientBatch per kernel
+// backend, on the paper's 4x128 ReLU latency-model topology and on the
+// 12-64-64-1 ReLU model the service trains and serves. This is the shape
+// MOGD's lockstep descent actually runs -- the multistart batch is the row
+// count (8 in the service) -- so the scalar-vs-avx2 columns here are the
+// microscopic version of the bench_mogd_solver end-to-end speedup.
 //
 // Fixed seed (42) and a deterministic input sweep: rerunning the binary
 // re-times identical work, and the arena counters in the JSON report show
@@ -68,27 +69,36 @@ void SweepBackend(kernels::Backend backend, const Mlp& mlp,
   std::printf("\n");
 }
 
+// Sweeps one ReLU model of the given layer sizes under every backend.
+void SweepModel(const char* title, const std::vector<int>& layer_sizes,
+                const std::vector<int>& batches, bool quick) {
+  MlpConfig config;
+  config.layer_sizes = layer_sizes;
+  Rng rng(42);
+  const Mlp mlp(config, &rng);
+  std::printf("=== dispatched kernel sweep, %s ===\n\n", title);
+  SweepBackend(kernels::Backend::kScalar, mlp, batches, quick);
+  if (kernels::CpuSupportsAvx2()) {
+    SweepBackend(kernels::Backend::kAvx2, mlp, batches, quick);
+  } else {
+    std::printf("(no AVX2 on this host; scalar backend only)\n\n");
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   return BenchMain("bench_kernels", argc, argv, [](const BenchOptions& o) {
     // The paper's largest model: 12 inputs, 4 hidden ReLU layers of 128.
-    MlpConfig config;
-    config.layer_sizes = {12, 128, 128, 128, 128, 1};
-    Rng rng(42);
-    const Mlp mlp(config, &rng);
-
-    const std::vector<int> batches =
-        o.quick ? std::vector<int>{1, 16, 256, 1024}
-                : std::vector<int>{1, 4, 16, 64, 256, 1024, 4096};
-
-    std::printf("=== dispatched kernel sweep, 12-128x4-1 ReLU MLP ===\n\n");
-    SweepBackend(kernels::Backend::kScalar, mlp, batches, o.quick);
-    if (kernels::CpuSupportsAvx2()) {
-      SweepBackend(kernels::Backend::kAvx2, mlp, batches, o.quick);
-    } else {
-      std::printf("(no AVX2 on this host; scalar backend only)\n");
-    }
+    SweepModel("12-128x4-1 ReLU MLP (paper)", {12, 128, 128, 128, 128, 1},
+               o.quick ? std::vector<int>{1, 16, 256, 1024}
+                       : std::vector<int>{1, 4, 16, 64, 256, 1024, 4096},
+               o.quick);
+    // The model the service serves (MlpModelConfig's default 64x64 hidden
+    // layers over 12 encoded knobs), at one row, MOGD's 8-start batch, and
+    // a fused batch of 8 problems.
+    SweepModel("12-64-64-1 ReLU MLP (served)", {12, 64, 64, 1}, {1, 8, 64},
+               o.quick);
     return 0;
   });
 }

@@ -38,11 +38,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_available_.NotifyOne();
 }
 
-void ThreadPool::WaitIdle() {
-  MutexLock lock(mu_);
-  while (!queue_.empty() || active_ != 0) idle_.Wait(mu_);
-}
-
 void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
   if (n <= 0) return;
   // Shared by the caller and its helpers. Helpers own a reference because a
@@ -89,14 +84,8 @@ void ThreadPool::WorkerLoop() {
       if (shutdown_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop();
-      ++active_;
     }
     task();
-    {
-      MutexLock lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_.NotifyAll();
-    }
   }
 }
 

@@ -29,15 +29,11 @@ class ThreadPool {
   /// submitted by an in-flight task still runs before destruction completes.
   void Submit(std::function<void()> task);
 
-  /// Blocks until the queue is empty and all workers are idle. Safe to call
-  /// concurrently from several threads; each returns once the pool is idle.
-  void WaitIdle();
-
   /// Runs fn(i) for every i in [0, n) and returns once all n calls have
   /// finished. The calling thread and up to min(n - 1, num_threads()) pool
   /// helpers claim indices from one shared counter, so the call completes
   /// even when no worker is free -- including when it is issued from inside
-  /// a task of this pool -- and never waits on unrelated tasks (no WaitIdle).
+  /// a task of this pool -- and never waits on unrelated tasks.
   /// A helper that starts after every index is taken returns without
   /// touching `fn`, so `fn` need only outlive the call. n <= 0 is a no-op.
   void ParallelFor(int n, const std::function<void(int)>& fn);
@@ -54,10 +50,8 @@ class ThreadPool {
 
   Mutex mu_;
   std::queue<std::function<void()>> queue_ UDAO_GUARDED_BY(mu_);
-  int active_ UDAO_GUARDED_BY(mu_) = 0;
   bool shutdown_ UDAO_GUARDED_BY(mu_) = false;
   CondVar work_available_;
-  CondVar idle_;
 };
 
 }  // namespace udao

@@ -24,9 +24,11 @@
 //    without "fma" in the target the compiler cannot contract a mul+add.
 #include "nn/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "common/check.h"
 #include "common/metrics_registry.h"
@@ -234,13 +236,93 @@ HorizontalSum4(__m256d s0, __m256d s1, __m256d s2, __m256d s3) {
   return _mm256_hadd_pd(s02, s13);
 }
 
-// Four outputs per step: two DotPairAvx2 passes share each input row's
-// loads, HorizontalSum4 finishes the four sums together, and bias + ReLU run
-// on the vector. in_dim % 4 tails finish per output as in DotAvx2. The
-// out_dim % 4 leftover outputs (a 1-output layer is all leftover) take two
-// rows per DotPairAvx2 pass with the weight row as the shared operand:
-// fma(w, a, acc) and fma(a, w, acc) round the same exact product, so each
-// sum keeps DotAvx2's bits. An odd last row takes DotAvx2 itself.
+// Rows per register-blocked pass, one rule for both blocked kernels. A row
+// of a pass keeps `accumulators` vectors live across the pass's loop, and
+// the pass loads `shared` vectors that all its rows read, plus one operand
+// per row at a time. A row with few accumulators runs latency-bound (each
+// FMA waits for the previous one into the same register), so a pass takes
+// as many rows, up to four, as fit the 16 ymm registers.
+constexpr int RowsPerPass(int accumulators, int shared) {
+  for (int rows = 4; rows > 1; rows /= 2) {
+    if (rows * accumulators + shared + 1 <= 16) return rows;
+  }
+  return 1;
+}
+
+// DotAvx2 below 16 inputs runs only its 4-wide loop, so each dot keeps one
+// live accumulator, acc0, and its reduction (acc0+acc1)+(acc2+acc3) over
+// zeros is acc0 + 0.0 (which turns a -0.0 lane into +0.0, so it stays).
+// R input rows (row stride = n) against four weight rows (w0, stride n) at
+// once, each weight load feeding R FMAs; sums[r] gets row r's four sums.
+template <int R>
+__attribute__((target("avx2,fma"), always_inline)) inline void ShortDotsAvx2(
+    const double* a, const double* w0, int n, __m256d* sums) {
+  const size_t stride = static_cast<size_t>(n);
+  __m256d acc[R][4];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int j = 0; j < 4; ++j) acc[r][j] = _mm256_setzero_pd();
+  }
+  for (int i = 0; i + 4 <= n; i += 4) {
+    __m256d wv[4];
+#pragma GCC unroll 4
+    for (int j = 0; j < 4; ++j) wv[j] = _mm256_loadu_pd(w0 + j * stride + i);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256d x = _mm256_loadu_pd(a + r * stride + i);
+#pragma GCC unroll 4
+      for (int j = 0; j < 4; ++j) {
+        acc[r][j] = _mm256_fmadd_pd(x, wv[j], acc[r][j]);
+      }
+    }
+  }
+  const __m256d zero = _mm256_setzero_pd();
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    sums[r] = HorizontalSum4(
+        _mm256_add_pd(acc[r][0], zero), _mm256_add_pd(acc[r][1], zero),
+        _mm256_add_pd(acc[r][2], zero), _mm256_add_pd(acc[r][3], zero));
+  }
+}
+
+// Finishes four outputs of one input row from their vector sums: the
+// in_dim % 4 tail per output as in DotAvx2, then bias and ReLU on the
+// vector.
+__attribute__((target("avx2,fma"), always_inline)) inline void FinishFourAvx2(
+    __m256d acc, const double* a, const double* w0, int in_dim,
+    const double* bias, Fused fuse, double* o) {
+  const int vec_end = in_dim & ~3;
+  if (vec_end < in_dim) {
+    alignas(32) double sum[4];
+    _mm256_store_pd(sum, acc);
+    for (int j = 0; j < 4; ++j) {
+      const double* wj = w0 + static_cast<size_t>(j) * in_dim;
+      for (int i = vec_end; i < in_dim; ++i) {
+        sum[j] = std::fma(a[i], wj[i], sum[j]);
+      }
+    }
+    acc = _mm256_load_pd(sum);
+  }
+  acc = _mm256_add_pd(acc, _mm256_loadu_pd(bias));
+  if (fuse == Fused::kBiasRelu) {
+    // !(acc > 0.0) ? 0.0 : acc per lane: the ordered compare is false for
+    // NaN, and the and-mask yields +0.0 for -0.0.
+    acc = _mm256_and_pd(acc,
+                        _mm256_cmp_pd(acc, _mm256_setzero_pd(), _CMP_GT_OQ));
+  }
+  _mm256_storeu_pd(o, acc);
+}
+
+// Four outputs per step, HorizontalSum4 finishing their sums together. From
+// 16 inputs on, each dot keeps DotAvx2's four accumulators, so a pass takes
+// one input row and two DotPairAvx2 calls share its loads. Below 16, a dot
+// keeps one, so a pass takes RowsPerPass rows through ShortDotsAvx2; the
+// rows left over take the one-row pass. The out_dim % 4 leftover outputs (a
+// 1-output layer is all leftover) take two rows per DotPairAvx2 pass with
+// the weight row as the shared operand: fma(w, a, acc) and fma(a, w, acc)
+// round the same exact product, so each sum keeps DotAvx2's bits. An odd
+// last row takes DotAvx2 itself.
 UDAO_KERNEL_ALIGNED
 __attribute__((target("avx2,fma"))) void LayerForwardAvx2(
     const double* in, int rows, int in_dim, const double* w,
@@ -248,8 +330,24 @@ __attribute__((target("avx2,fma"))) void LayerForwardAvx2(
   const size_t stride = static_cast<size_t>(in_dim);
   const int vec_end = in_dim & ~3;
   const int left = out_dim & ~3;  // first leftover output
-  const __m256d zero = _mm256_setzero_pd();
-  for (int r = 0; r < rows && left > 0; ++r) {
+  int r = 0;
+  if (in_dim < 16) {
+    constexpr int kRows = RowsPerPass(4, 4);
+    for (; r + kRows <= rows && left > 0; r += kRows) {
+      const double* a = in + r * stride;
+      double* o = out + static_cast<size_t>(r) * out_dim;
+      for (int c = 0; c < left; c += 4) {
+        const double* w0 = w + c * stride;
+        __m256d sums[kRows];
+        ShortDotsAvx2<kRows>(a, w0, in_dim, sums);
+        for (int q = 0; q < kRows; ++q) {
+          FinishFourAvx2(sums[q], a + q * stride, w0, in_dim, bias + c, fuse,
+                         o + static_cast<size_t>(q) * out_dim + c);
+        }
+      }
+    }
+  }
+  for (; r < rows && left > 0; ++r) {
     const double* a = in + r * stride;
     double* o = out + static_cast<size_t>(r) * out_dim;
     for (int c = 0; c < left; c += 4) {
@@ -260,25 +358,8 @@ __attribute__((target("avx2,fma"))) void LayerForwardAvx2(
       __m256d s3;
       DotPairAvx2(a, w0, w0 + stride, in_dim, &s0, &s1);
       DotPairAvx2(a, w0 + 2 * stride, w0 + 3 * stride, in_dim, &s2, &s3);
-      __m256d acc = HorizontalSum4(s0, s1, s2, s3);
-      if (vec_end < in_dim) {
-        alignas(32) double sum[4];
-        _mm256_store_pd(sum, acc);
-        for (int j = 0; j < 4; ++j) {
-          const double* wj = w0 + j * stride;
-          for (int i = vec_end; i < in_dim; ++i) {
-            sum[j] = std::fma(a[i], wj[i], sum[j]);
-          }
-        }
-        acc = _mm256_load_pd(sum);
-      }
-      acc = _mm256_add_pd(acc, _mm256_loadu_pd(bias + c));
-      if (fuse == Fused::kBiasRelu) {
-        // !(acc > 0.0) ? 0.0 : acc per lane: the ordered compare is false
-        // for NaN, and the and-mask yields +0.0 for -0.0.
-        acc = _mm256_and_pd(acc, _mm256_cmp_pd(acc, zero, _CMP_GT_OQ));
-      }
-      _mm256_storeu_pd(o + c, acc);
+      FinishFourAvx2(HorizontalSum4(s0, s1, s2, s3), a, w0, in_dim, bias + c,
+                     fuse, o + c);
     }
   }
   if (left == out_dim) return;
@@ -286,7 +367,7 @@ __attribute__((target("avx2,fma"))) void LayerForwardAvx2(
     z += bias[c];
     return (fuse == Fused::kBiasRelu && !(z > 0.0)) ? 0.0 : z;
   };
-  int r = 0;
+  r = 0;
   for (; r + 2 <= rows; r += 2) {
     const double* a0 = in + r * stride;
     const double* a1 = a0 + stride;
@@ -316,97 +397,107 @@ __attribute__((target("avx2,fma"))) void LayerForwardAvx2(
   }
 }
 
-// V vectors (4 * V columns) of one output row, held in registers across the
-// whole k loop: AxpyAvx2's fma(b[k][j], a_ik, acc) per element in k order,
-// with the same a_ik == 0.0 skips, stored once at the end.
-template <int V>
-__attribute__((target("avx2,fma"), always_inline)) inline void
-GemmRowBlockAvx2(const double* a_row, int k, const double* b, int cols,
-                 double* out_row) {
+// R output rows x V vectors (4 * V columns), held in registers across the
+// whole k loop: each element is AxpyAvx2's fma(b[k][j], a_ik, acc) in k
+// order with its own row's a_ik == 0.0 skips, stored once at the end. The R
+// rows read the same row of b, each through its own memory operands (b
+// stays in L1; loading it into registers once spilled accumulators).
+template <int R, int V>
+__attribute__((target("avx2,fma"), always_inline)) inline void GemmPassAvx2(
+    const double* a, int k, const double* b, int cols, double* out) {
   static_assert(V >= 1 && V <= 8, "one block holds 1 to 8 vectors");
-  __m256d c0 = _mm256_setzero_pd();
-  __m256d c1 = _mm256_setzero_pd();
-  __m256d c2 = _mm256_setzero_pd();
-  __m256d c3 = _mm256_setzero_pd();
-  __m256d c4 = _mm256_setzero_pd();
-  __m256d c5 = _mm256_setzero_pd();
-  __m256d c6 = _mm256_setzero_pd();
-  __m256d c7 = _mm256_setzero_pd();
+  __m256d acc[R][V];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_pd();
+  }
   for (int kk = 0; kk < k; ++kk) {
-    const double a_ik = a_row[kk];
-    if (a_ik == 0.0) continue;
-    const __m256d va = _mm256_set1_pd(a_ik);
     const double* bk = b + static_cast<size_t>(kk) * cols;
-    c0 = _mm256_fmadd_pd(_mm256_loadu_pd(bk), va, c0);
-    if constexpr (V > 1) c1 = _mm256_fmadd_pd(_mm256_loadu_pd(bk + 4), va, c1);
-    if constexpr (V > 2) c2 = _mm256_fmadd_pd(_mm256_loadu_pd(bk + 8), va, c2);
-    if constexpr (V > 3) {
-      c3 = _mm256_fmadd_pd(_mm256_loadu_pd(bk + 12), va, c3);
-    }
-    if constexpr (V > 4) {
-      c4 = _mm256_fmadd_pd(_mm256_loadu_pd(bk + 16), va, c4);
-    }
-    if constexpr (V > 5) {
-      c5 = _mm256_fmadd_pd(_mm256_loadu_pd(bk + 20), va, c5);
-    }
-    if constexpr (V > 6) {
-      c6 = _mm256_fmadd_pd(_mm256_loadu_pd(bk + 24), va, c6);
-    }
-    if constexpr (V > 7) {
-      c7 = _mm256_fmadd_pd(_mm256_loadu_pd(bk + 28), va, c7);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const double a_rk = a[static_cast<size_t>(r) * k + kk];
+      if (a_rk == 0.0) continue;
+      const __m256d va = _mm256_set1_pd(a_rk);
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] =
+            _mm256_fmadd_pd(_mm256_loadu_pd(bk + 4 * v), va, acc[r][v]);
+      }
     }
   }
-  _mm256_storeu_pd(out_row, c0);
-  if constexpr (V > 1) _mm256_storeu_pd(out_row + 4, c1);
-  if constexpr (V > 2) _mm256_storeu_pd(out_row + 8, c2);
-  if constexpr (V > 3) _mm256_storeu_pd(out_row + 12, c3);
-  if constexpr (V > 4) _mm256_storeu_pd(out_row + 16, c4);
-  if constexpr (V > 5) _mm256_storeu_pd(out_row + 20, c5);
-  if constexpr (V > 6) _mm256_storeu_pd(out_row + 24, c6);
-  if constexpr (V > 7) _mm256_storeu_pd(out_row + 28, c7);
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      _mm256_storeu_pd(out + static_cast<size_t>(r) * cols + 4 * v,
+                       acc[r][v]);
+    }
+  }
 }
 
-// Each output row in column blocks of 8 vectors, then one block of the
-// remaining 1 to 7 vectors (one k pass each: the pass count, not the FMA
-// count, dominates), then the cols % 4 tail through AxpyAvx2 itself.
+// One V-vector column block of every output row: RowsPerPass rows per pass
+// (a row keeps V accumulators, and every row reads the same V vectors of
+// b), the rows left over one at a time.
+template <int V>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+GemmColumnBlockAvx2(const double* a, int rows, int k, const double* b,
+                    int cols, double* out) {
+  constexpr int kRows = RowsPerPass(V, V);
+  int i = 0;
+  for (; i + kRows <= rows; i += kRows) {
+    GemmPassAvx2<kRows, V>(a + static_cast<size_t>(i) * k, k, b, cols,
+                           out + static_cast<size_t>(i) * cols);
+  }
+  if constexpr (kRows > 1) {
+    for (; i < rows; ++i) {
+      GemmPassAvx2<1, V>(a + static_cast<size_t>(i) * k, k, b, cols,
+                         out + static_cast<size_t>(i) * cols);
+    }
+  }
+}
+
+// Column blocks of 8 vectors, then one block of the remaining 1 to 7
+// vectors (one k pass each: the pass count, not the FMA count, dominates),
+// then each row's cols % 4 tail through AxpyAvx2 itself.
 UDAO_KERNEL_ALIGNED
 __attribute__((target("avx2,fma"))) void GemmNnAvx2(const double* a, int rows,
                                                     int k, const double* b,
                                                     int cols, double* out) {
+  int j = 0;
+  for (; j + 32 <= cols; j += 32) {
+    GemmColumnBlockAvx2<8>(a, rows, k, b + j, cols, out + j);
+  }
+  switch ((cols - j) / 4) {
+    case 7:
+      GemmColumnBlockAvx2<7>(a, rows, k, b + j, cols, out + j);
+      break;
+    case 6:
+      GemmColumnBlockAvx2<6>(a, rows, k, b + j, cols, out + j);
+      break;
+    case 5:
+      GemmColumnBlockAvx2<5>(a, rows, k, b + j, cols, out + j);
+      break;
+    case 4:
+      GemmColumnBlockAvx2<4>(a, rows, k, b + j, cols, out + j);
+      break;
+    case 3:
+      GemmColumnBlockAvx2<3>(a, rows, k, b + j, cols, out + j);
+      break;
+    case 2:
+      GemmColumnBlockAvx2<2>(a, rows, k, b + j, cols, out + j);
+      break;
+    case 1:
+      GemmColumnBlockAvx2<1>(a, rows, k, b + j, cols, out + j);
+      break;
+    default:
+      break;
+  }
+  const int tail = cols & ~3;
+  if (tail == cols) return;
   for (int i = 0; i < rows; ++i) {
     const double* a_row = a + static_cast<size_t>(i) * k;
     double* out_row = out + static_cast<size_t>(i) * cols;
-    int j = 0;
-    for (; j + 32 <= cols; j += 32) {
-      GemmRowBlockAvx2<8>(a_row, k, b + j, cols, out_row + j);
-    }
-    switch ((cols - j) / 4) {
-      case 7:
-        GemmRowBlockAvx2<7>(a_row, k, b + j, cols, out_row + j);
-        break;
-      case 6:
-        GemmRowBlockAvx2<6>(a_row, k, b + j, cols, out_row + j);
-        break;
-      case 5:
-        GemmRowBlockAvx2<5>(a_row, k, b + j, cols, out_row + j);
-        break;
-      case 4:
-        GemmRowBlockAvx2<4>(a_row, k, b + j, cols, out_row + j);
-        break;
-      case 3:
-        GemmRowBlockAvx2<3>(a_row, k, b + j, cols, out_row + j);
-        break;
-      case 2:
-        GemmRowBlockAvx2<2>(a_row, k, b + j, cols, out_row + j);
-        break;
-      case 1:
-        GemmRowBlockAvx2<1>(a_row, k, b + j, cols, out_row + j);
-        break;
-      default:
-        break;
-    }
-    const int tail = cols & ~3;
-    if (tail == cols) continue;
     for (j = tail; j < cols; ++j) out_row[j] = 0.0;
     for (int kk = 0; kk < k; ++kk) {
       const double a_ik = a_row[kk];
@@ -535,7 +626,9 @@ void SetBackendForTesting(Backend backend) {
 // ------------------------------------------------------------------ arena
 
 double* KernelArena::Alloc(size_t n) {
-  if (n == 0) n = 1;
+  // Whole lines: slab sizes stay multiples of a line (the minimum slab and
+  // every growth are), so each block, like each slab, starts on one.
+  n = WholeLines(std::max<size_t>(n, 1));
   while (slab_ < slabs_.size()) {
     Slab& s = slabs_[slab_];
     if (used_ + n <= s.size) {
@@ -570,12 +663,17 @@ void KernelArena::AddSlab(size_t size) {
   // Not zero-filled: every consumer writes a block before reading it, so a
   // slab's pages become resident only as far as demand actually reaches.
   Slab slab;
-  slab.data = std::make_unique_for_overwrite<double[]>(size);
+  slab.data.reset(static_cast<double*>(::operator new[](
+      size * sizeof(double), std::align_val_t{kLineBytes})));
   slab.size = size;
   slabs_.push_back(std::move(slab));
   ++grow_count_;
   UDAO_METRIC_COUNTER_ADD("udao.nn.arena_bytes",
                           static_cast<long long>(size * sizeof(double)));
+}
+
+void KernelArena::LineAlignedDelete::operator()(double* p) const {
+  ::operator delete[](p, std::align_val_t{kLineBytes});
 }
 
 KernelArena& KernelArena::ThreadLocal() {

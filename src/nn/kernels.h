@@ -145,6 +145,17 @@ inline void GemmNn(const double* a, int rows, int k, const double* b,
   ActiveTable()->gemm_nn(a, rows, k, b, cols, out);
 }
 
+/// Bytes and doubles per cache line. Operands the AVX2 kernels stream should
+/// start on a line: a 32-byte load from an address at 16 or 48 mod 64 splits
+/// across two lines, which the CPU serves as two loads.
+inline constexpr size_t kLineBytes = 64;
+inline constexpr size_t kLineDoubles = kLineBytes / sizeof(double);
+
+/// The doubles in the whole cache lines that n doubles take.
+constexpr size_t WholeLines(size_t n) {
+  return (n + kLineDoubles - 1) / kLineDoubles * kLineDoubles;
+}
+
 /// Bump allocator for the per-solve activation/gradient temporaries of the
 /// batched MLP paths. The MOGD descent loop calls PredictBatch/GradientBatch
 /// every Adam iteration; routing their temporaries through a thread-local
@@ -155,6 +166,8 @@ inline void GemmNn(const double* a, int rows, int k, const double* b,
 /// how tests assert zero allocations per iteration after warmup. Slabs are
 /// not zero-filled, and a chain grown during warmup is merged into one slab
 /// once the arena is empty again, so resident memory tracks peak demand.
+/// Slabs start on a cache line and every block takes whole lines, so every
+/// block starts on a line too.
 ///
 /// Not thread-safe; use ThreadLocal() (one arena per thread) or confine an
 /// instance to one thread. Blocks are released in LIFO order by Scope.
@@ -164,8 +177,9 @@ class KernelArena {
   KernelArena(const KernelArena&) = delete;
   KernelArena& operator=(const KernelArena&) = delete;
 
-  /// Returns an uninitialized block of n doubles, valid until the enclosing
-  /// Scope unwinds past the current position.
+  /// Returns an uninitialized block of n doubles that starts on a cache
+  /// line, valid until the enclosing Scope unwinds past the current position.
+  /// The block takes WholeLines(n).
   double* Alloc(size_t n);
 
   /// Number of slab acquisitions (heap allocations) so far.
@@ -201,8 +215,11 @@ class KernelArena {
   };
 
  private:
+  struct LineAlignedDelete {
+    void operator()(double* p) const;
+  };
   struct Slab {
-    std::unique_ptr<double[]> data;
+    std::unique_ptr<double[], LineAlignedDelete> data;
     size_t size = 0;
   };
 
@@ -211,7 +228,8 @@ class KernelArena {
   /// bumps through one slab, so the memory it touches -- what stays
   /// resident -- is its demand, not a partly used prefix of every slab.
   void Merge();
-  /// Acquires one uninitialized slab of `size` doubles (a growth).
+  /// Acquires one uninitialized, line-aligned slab of `size` doubles (a
+  /// growth).
   void AddSlab(size_t size);
 
   std::vector<Slab> slabs_;

@@ -35,13 +35,24 @@ size_t Mlp::MaxWidth() const {
   return width;
 }
 
+size_t Mlp::OutputOffset(int l, int rows) const {
+  size_t offset = 0;
+  for (int j = 0; j < l; ++j) {
+    offset +=
+        kernels::WholeLines(static_cast<size_t>(rows) * layers_[j].b.size());
+  }
+  return offset;
+}
+
 const double* Mlp::ForwardArena(const Matrix& x, kernels::KernelArena* arena,
-                                std::vector<const double*>* post,
+                                const double** outputs,
                                 const std::vector<double*>* masks) const {
   UDAO_CHECK_EQ(x.cols(), input_dim());
   const int rows = x.rows();
-  const double* cur = x.data().data();
   const int num_layers = static_cast<int>(layers_.size());
+  double* block = arena->Alloc(OutputOffset(num_layers, rows));
+  if (outputs != nullptr) *outputs = block;
+  const double* cur = x.data().data();
   // One table load for the whole pass: every layer of a forward runs on the
   // same backend even if a concurrent test flips the dispatch mid-call.
   const kernels::KernelTable* t = kernels::ActiveTable();
@@ -53,7 +64,7 @@ const double* Mlp::ForwardArena(const Matrix& x, kernels::KernelArena* arena,
     const Layer& layer = layers_[l];
     const int fan_in = layer.w.cols();
     const int fan_out = layer.w.rows();
-    double* out = arena->Alloc(static_cast<size_t>(rows) * fan_out);
+    double* out = block + OutputOffset(l, rows);
     const bool is_output = (l == num_layers - 1);
     const bool fuse_relu =
         !is_output && config_.activation == Activation::kRelu;
@@ -75,15 +86,14 @@ const double* Mlp::ForwardArena(const Matrix& x, kernels::KernelArena* arena,
         for (size_t i = 0; i < count; ++i) out[i] *= m[i];
       }
     }
-    if (post != nullptr) post->push_back(out);
     cur = out;
   }
   return cur;
 }
 
-void Mlp::Backward(const Matrix& x, const std::vector<const double*>& post,
-                   double* delta, kernels::KernelArena* arena,
-                   std::vector<LayerGrad>* grads, double* input_grad) const {
+void Mlp::Backward(const Matrix& x, const double* outputs, double* delta,
+                   kernels::KernelArena* arena, std::vector<LayerGrad>* grads,
+                   double* input_grad) const {
   const int rows = x.rows();
   const size_t capacity = static_cast<size_t>(rows) * MaxWidth();
   double* scratch = arena->Alloc(capacity);
@@ -96,7 +106,7 @@ void Mlp::Backward(const Matrix& x, const std::vector<const double*>& post,
     if (l != num_layers - 1) {
       // Elementwise activation-gradient scaling stays plain (non-kernel)
       // code, so it is never FMA-contracted in any backend.
-      const double* p = post[l];
+      const double* p = outputs + OutputOffset(l, rows);
       const size_t count = static_cast<size_t>(rows) * width;
       if (config_.activation == Activation::kRelu) {
         // post > 0 iff pre > 0 for relu: the subgradient is 0 at the kink.
@@ -125,7 +135,8 @@ void Mlp::Backward(const Matrix& x, const std::vector<const double*>& post,
               delta[static_cast<size_t>(n) * width + r];
         }
       }
-      const double* in = l == 0 ? x.data().data() : post[l - 1];
+      const double* in = l == 0 ? x.data().data()
+                                : outputs + OutputOffset(l - 1, rows);
       t->gemm_nn(delta_t, width, rows, in, fan_in, g.dw.data().data());
       std::fill(g.db.begin(), g.db.end(), 0.0);
       for (int n = 0; n < rows; ++n) {
@@ -160,8 +171,8 @@ void Mlp::InputGradientBatch(const Matrix& x, Matrix* grad,
   const int rows = x.rows();
   kernels::KernelArena& arena = kernels::KernelArena::ThreadLocal();
   kernels::KernelArena::Scope scope(&arena);
-  std::vector<const double*> post;
-  const double* out = ForwardArena(x, &arena, &post);
+  const double* outputs = nullptr;
+  const double* out = ForwardArena(x, &arena, &outputs);
   if (values != nullptr) {
     values->resize(rows);
     for (int i = 0; i < rows; ++i) {
@@ -174,7 +185,7 @@ void Mlp::InputGradientBatch(const Matrix& x, Matrix* grad,
   double* delta = arena.Alloc(static_cast<size_t>(rows) * MaxWidth());
   std::fill(delta, delta + rows, 1.0);
   grad->Resize(rows, input_dim());
-  Backward(x, post, delta, &arena, nullptr, grad->RowPtr(0));
+  Backward(x, outputs, delta, &arena, nullptr, grad->RowPtr(0));
   // A non-finite entry here means the forward pass overflowed; fail loudly
   // before the solver averages NaN gradients into Adam's moments.
   for (const double g : grad->data()) UDAO_DCHECK_FINITE(g);
@@ -253,8 +264,8 @@ double Mlp::ForwardBackward(const Matrix& x, const Vector& y,
   UDAO_CHECK_GT(batch, 0);
   kernels::KernelArena& arena = kernels::KernelArena::ThreadLocal();
   kernels::KernelArena::Scope scope(&arena);
-  std::vector<const double*> post;
-  const double* out = ForwardArena(x, &arena, &post);
+  const double* outputs = nullptr;
+  const double* out = ForwardArena(x, &arena, &outputs);
   // Seed each row with d(batch-mean squared error)/d(out).
   double* delta = arena.Alloc(static_cast<size_t>(batch) * MaxWidth());
   double loss = 0.0;
@@ -264,7 +275,7 @@ double Mlp::ForwardBackward(const Matrix& x, const Vector& y,
     delta[n] = 2.0 * err / batch;
   }
   loss /= batch;
-  Backward(x, post, delta, &arena, grads, nullptr);
+  Backward(x, outputs, delta, &arena, grads, nullptr);
   // L2 regularization on weights (not biases). The loss terms add up in
   // weight order, one chain; the gradient terms are independent per weight.
   if (config_.l2 > 0.0) {

@@ -102,25 +102,30 @@ class Mlp {
   int output_dim() const { return config_.layer_sizes.back(); }
 
  private:
-  // Batched forward over arena-owned buffers. Returns the final layer's
-  // output buffer [x.rows() x output_dim]; when `post` is non-null it
-  // receives each layer's post-activation buffer (the backward pass needs
-  // only post-activations: relu's gradient is post > 0, tanh's 1 - post^2).
-  // When `masks` is non-null, (*masks)[l] ([x.rows() x fan_out]) multiplies
-  // hidden layer l's post-activations (MC-dropout). Buffers live until the
-  // caller's KernelArena::Scope unwinds.
+  // Batched forward into one arena block that holds every layer's
+  // post-activation output in turn ([x.rows() x fan_out] each, at
+  // OutputOffset; the backward pass needs only post-activations: relu's
+  // gradient is post > 0, tanh's 1 - post^2). Returns the final layer's
+  // output [x.rows() x output_dim]; when `outputs` is non-null it receives
+  // the block. When `masks` is non-null, (*masks)[l] ([x.rows() x fan_out])
+  // multiplies hidden layer l's post-activations (MC-dropout). The block
+  // lives until the caller's KernelArena::Scope unwinds.
   const double* ForwardArena(const Matrix& x, kernels::KernelArena* arena,
-                             std::vector<const double*>* post,
+                             const double** outputs,
                              const std::vector<double*>* masks = nullptr) const;
+  // Offset of layer l's output in a ForwardArena block over `rows` rows
+  // (l = layer count gives the block's size). Each output takes whole cache
+  // lines, so every one starts on a line, as the block does.
+  size_t OutputOffset(int l, int rows) const;
   // Back-propagates `delta` (d loss / d output, one entry per row, in an
   // arena buffer of x.rows() * MaxWidth() doubles that the pass overwrites)
-  // through a ForwardArena pass over `x` whose post-activations are `post`.
-  // Writes each layer's weight and bias gradient into `grads` when non-null,
-  // and d output / d input ([x.rows() x input_dim]) into `input_grad` when
+  // through the ForwardArena block `outputs` of a pass over `x`. Writes each
+  // layer's weight and bias gradient into `grads` when non-null, and
+  // d output / d input ([x.rows() x input_dim]) into `input_grad` when
   // non-null.
-  void Backward(const Matrix& x, const std::vector<const double*>& post,
-                double* delta, kernels::KernelArena* arena,
-                std::vector<LayerGrad>* grads, double* input_grad) const;
+  void Backward(const Matrix& x, const double* outputs, double* delta,
+                kernels::KernelArena* arena, std::vector<LayerGrad>* grads,
+                double* input_grad) const;
   // Widest layer output (the input width excluded).
   size_t MaxWidth() const;
 

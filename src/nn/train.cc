@@ -61,7 +61,7 @@ TrainResult TrainMlp(Mlp* mlp, const Matrix& x, const Vector& y,
       adam.BeginStep();
       size_t offset = 0;
       for (size_t l = 0; l < layers.size(); ++l) {
-        Vector& w = layers[l].w.data();
+        Matrix::Storage& w = layers[l].w.data();
         Vector& b = layers[l].b;
         adam.Update(offset, w.data(), grads[l].dw.data().data(),
                     static_cast<int>(w.size()));

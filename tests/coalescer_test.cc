@@ -388,8 +388,7 @@ TEST(SolveCoalescerTest, DestroyedWhileLateHelpersAreQueued) {
     }
     EXPECT_EQ(coalescer.stats().descents, 4);
   }
-  release.set_value();  // the queued helper runs only now
-  pool.WaitIdle();
+  release.set_value();  // the queued helper runs now, before ~ThreadPool
 }
 
 void ExpectBitwiseEqual(const CoResult& a, const CoResult& b) {

@@ -3,7 +3,8 @@
 //  * within one backend, the fused layer_forward is bitwise-equal to
 //    composing dot + bias + relu by hand, and gemm_nn to the per-row axpy
 //    loop with zero-coefficient skips, on every shape class the
-//    register-blocked AVX2 kernels split into (block, tail, leftover);
+//    register-blocked AVX2 kernels split into (block, tail, leftover,
+//    multi-row pass) and with operands at every offset in a cache line;
 //  * across backends, every primitive and the batched MLP entry points built
 //    on them (PredictBatch / GradientBatch) agree to a tight relative
 //    tolerance -- AVX2's multi-accumulator reductions and FMA contraction
@@ -12,8 +13,8 @@
 //  * the UDAO_KERNEL environment contract holds (the CI parity matrix runs
 //    this binary once per backend);
 //  * the KernelArena stops touching the heap after the first iteration of a
-//    fixed-shape batched workload, and reports its growth through the
-//    udao.nn.arena_bytes counter;
+//    fixed-shape batched workload, reports its growth through the
+//    udao.nn.arena_bytes counter, and starts every block on a cache line;
 //  * no batched MLP path reads arena memory before writing it (slabs are
 //    not zero-filled), so stale slab contents never reach an output, and an
 //    emptied arena merges its grown slab chain into one slab.
@@ -21,8 +22,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,15 +93,19 @@ TEST(KernelParityTest, ActiveBackendHonorsEnvironment) {
 // Shapes for the bitwise kernel checks: every row count up to one past the
 // MOGD batch of 8, and in/out widths around the AVX2 blocking boundaries
 // (4-wide vectors, 16-wide dot blocks, 4-output groups, 8-vector column
-// blocks), plus the served 12-64-64-1 and paper 4x128 layer widths.
-constexpr int kShapeInDims[] = {1,  3,  4,  5,  7,  12,  15,
-                                16, 17, 31, 64, 65, 128, 129};
+// blocks), plus the served 12-64-64-1 and paper 4x128 layer widths. Every
+// width below 16 (each with its in_dim % 4 tail) reaches layer_forward's
+// multi-row short pass; as gemm_nn's k they vary the zero-skip pattern.
+constexpr int kShapeInDims[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11,
+                                12, 13, 14, 15, 16, 17, 31, 64, 65, 128, 129};
 // out_dim % 4 leftovers of 1, 2 and 3 outputs, alone and after full
 // 4-output groups; rows 1 to 9 reach the leftover row pairs and the odd row.
 constexpr int kShapeOutDims[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 65};
 // gemm_nn column counts: a column block of each width from 1 to 8 vectors
 // (4 to 32 columns), with and without a cols % 4 tail, and rows spanning
-// more than one 8-vector block.
+// more than one 8-vector block. Blocks of 1 to 3 vectors take four rows per
+// pass and of 4 to 5 vectors two, so rows 1 to 9 reach full passes and
+// every count of leftover rows.
 constexpr int kShapeGemmCols[] = {1,  3,  4,  5,  8,  9,  12, 16, 17,
                                   20, 24, 28, 31, 32, 33, 44, 64, 65};
 constexpr int kShapeMaxRows = 9;
@@ -118,28 +126,47 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+// Copies `values` into *storage so that the copy starts `offset` doubles
+// (0 to 7) past a 64-byte cache line, and returns the copy.
+double* AtLineOffset(const Vector& values, int offset, Vector* storage) {
+  storage->assign(values.size() + 2 * kernels::kLineDoubles, 0.0);
+  void* line = storage->data();
+  size_t space = storage->size() * sizeof(double);
+  EXPECT_NE(std::align(64, sizeof(double), line, space), nullptr);
+  double* copy = static_cast<double*>(line) + offset;
+  std::copy(values.begin(), values.end(), copy);
+  return copy;
+}
+
+constexpr int kLineOffsets = static_cast<int>(kernels::kLineDoubles);
+
 // The fused layer kernel must be exactly dot + bias + relu of the same
 // backend -- that is what keeps batched and scalar MLP paths bitwise-equal
-// within a backend. Compared by bits, so -0.0 against +0.0 fails; buffers
-// start one double past the vector's start as well as at it.
+// within a backend. Compared by bits, so -0.0 against +0.0 fails. Operands
+// start at every 8-byte offset in a cache line: the input and output at
+// `offset`, the weights and bias at another offset.
 TEST(KernelParityTest, LayerForwardMatchesComposedPrimitivesBitwise) {
+  Vector in_store;
+  Vector w_store;
+  Vector bias_store;
+  Vector out_store;
   for (Backend backend : SupportedBackends()) {
     const KernelTable* t = kernels::TableForBackend(backend);
     for (int in_dim : kShapeInDims) {
       for (int out_dim : kShapeOutDims) {
-        const int max_in = kShapeMaxRows * in_dim;
-        const Vector in_buf = RandomWithZeros(max_in + 1, 42 + in_dim);
-        const Vector w_buf =
-            RandomWithZeros(out_dim * in_dim + 1, 43 + out_dim);
-        Vector bias_buf = RandomWithZeros(out_dim + 1, 44);
-        for (int offset : {0, 1}) {
-          const double* w = w_buf.data() + offset;
-          const double* bias = bias_buf.data() + offset;
+        const Vector in_vals =
+            RandomWithZeros(kShapeMaxRows * in_dim, 42 + in_dim);
+        const Vector w_vals = RandomWithZeros(out_dim * in_dim, 43 + out_dim);
+        const Vector bias_vals = RandomWithZeros(out_dim, 44);
+        for (int offset = 0; offset < kLineOffsets; ++offset) {
+          const int w_offset = (offset + 5) % kLineOffsets;
+          const double* in = AtLineOffset(in_vals, offset, &in_store);
+          const double* w = AtLineOffset(w_vals, w_offset, &w_store);
+          const double* bias = AtLineOffset(bias_vals, w_offset, &bias_store);
           for (int rows = 1; rows <= kShapeMaxRows; ++rows) {
-            const double* in = in_buf.data() + offset;
             for (Fused fuse : {Fused::kBias, Fused::kBiasRelu}) {
-              Vector out_buf(rows * out_dim + 1);
-              double* out = out_buf.data() + offset;
+              double* out = AtLineOffset(Vector(rows * out_dim), offset,
+                                         &out_store);
               t->layer_forward(in, rows, in_dim, w, bias, out_dim, fuse, out);
               for (int r = 0; r < rows; ++r) {
                 for (int c = 0; c < out_dim; ++c) {
@@ -166,30 +193,37 @@ TEST(KernelParityTest, LayerForwardMatchesComposedPrimitivesBitwise) {
 
 // Signed zeros that survive the arithmetic: a product below the smallest
 // subnormal rounds to -0.0, and -0.0 accumulators stay -0.0 where no +0.0
-// joins them (in AVX2, dots whose four accumulators all take products).
-// Plus a -0.0 bias, the kBias output is then -0.0, which ReLU must turn
-// into +0.0; bit comparison against the composed primitives checks both.
+// joins them (in AVX2, dots whose four accumulators all take products;
+// below 16 inputs the +0.0 accumulators turn them into +0.0). Plus a -0.0
+// bias, the kBias output is then -0.0, which ReLU must turn into +0.0; bit
+// comparison against the composed primitives checks both, on one to three
+// rows so that the one-row and multi-row passes both see them.
 TEST(KernelParityTest, LayerForwardKeepsSignedZerosBitwise) {
   int negative_zeros = 0;
   for (Backend backend : SupportedBackends()) {
     const KernelTable* t = kernels::TableForBackend(backend);
     for (int in_dim : kShapeInDims) {
-      const int out_dim = 5;
-      const Vector in(in_dim, 1e-200);
-      const Vector w(static_cast<size_t>(out_dim) * in_dim, -1e-200);
-      const Vector bias(out_dim, -0.0);
-      for (Fused fuse : {Fused::kBias, Fused::kBiasRelu}) {
-        Vector out(out_dim);
-        t->layer_forward(in.data(), 1, in_dim, w.data(), bias.data(), out_dim,
-                         fuse, out.data());
-        for (int c = 0; c < out_dim; ++c) {
-          double z = t->dot(in.data(), w.data() + c * in_dim, in_dim);
-          z += bias[c];
-          if (fuse == Fused::kBiasRelu && !(z > 0.0)) z = 0.0;
-          negative_zeros += SameBits(z, -0.0) ? 1 : 0;
-          EXPECT_TRUE(SameBits(out[c], z))
-              << t->name << " in_dim " << in_dim << " c " << c << " relu "
-              << (fuse == Fused::kBiasRelu);
+      for (int rows = 1; rows <= 3; ++rows) {
+        const int out_dim = 5;
+        const Vector in(static_cast<size_t>(rows) * in_dim, 1e-200);
+        const Vector w(static_cast<size_t>(out_dim) * in_dim, -1e-200);
+        const Vector bias(out_dim, -0.0);
+        for (Fused fuse : {Fused::kBias, Fused::kBiasRelu}) {
+          Vector out(static_cast<size_t>(rows) * out_dim);
+          t->layer_forward(in.data(), rows, in_dim, w.data(), bias.data(),
+                           out_dim, fuse, out.data());
+          for (int c = 0; c < out_dim; ++c) {
+            double z = t->dot(in.data(), w.data() + c * in_dim, in_dim);
+            z += bias[c];
+            if (fuse == Fused::kBiasRelu && !(z > 0.0)) z = 0.0;
+            negative_zeros += SameBits(z, -0.0) ? 1 : 0;
+            for (int r = 0; r < rows; ++r) {
+              EXPECT_TRUE(SameBits(out[r * out_dim + c], z))
+                  << t->name << " in_dim " << in_dim << " rows " << rows
+                  << " r " << r << " c " << c << " relu "
+                  << (fuse == Fused::kBiasRelu);
+            }
+          }
         }
       }
     }
@@ -203,24 +237,28 @@ TEST(KernelParityTest, LayerForwardKeepsSignedZerosBitwise) {
 // gemm_nn must be exactly Matrix::ApplyTranspose's order per output row:
 // zero the row, then axpy each b row scaled by a nonzero a[i][kk], in kk
 // order. Row 1 of `a` is all exact zeros (alternating signs), so that row
-// must come out as +0.0 everywhere.
+// must come out as +0.0 everywhere. Operands start at every 8-byte offset
+// in a cache line: `a` and the output at `offset`, `b` at another offset.
 TEST(KernelParityTest, GemmNnMatchesPerRowAxpyLoopBitwise) {
+  Vector a_store;
+  Vector b_store;
+  Vector out_store;
   for (Backend backend : SupportedBackends()) {
     const KernelTable* t = kernels::TableForBackend(backend);
     for (int k : kShapeInDims) {
       for (int cols : kShapeGemmCols) {
-        Vector a_buf = RandomWithZeros(kShapeMaxRows * k + 1, 45 + k);
-        const Vector b_buf = RandomWithZeros(k * cols + 1, 46 + cols);
-        for (int offset : {0, 1}) {
-          double* a_zero_row = a_buf.data() + offset + k;
-          for (int kk = 0; kk < k; ++kk) {
-            a_zero_row[kk] = kk % 2 == 0 ? 0.0 : -0.0;
-          }
-          const double* a = a_buf.data() + offset;
-          const double* b = b_buf.data() + offset;
+        Vector a_vals = RandomWithZeros(kShapeMaxRows * k, 45 + k);
+        for (int kk = 0; kk < k; ++kk) {
+          a_vals[k + kk] = kk % 2 == 0 ? 0.0 : -0.0;
+        }
+        const Vector b_vals = RandomWithZeros(k * cols, 46 + cols);
+        for (int offset = 0; offset < kLineOffsets; ++offset) {
+          const double* a = AtLineOffset(a_vals, offset, &a_store);
+          const double* b =
+              AtLineOffset(b_vals, (offset + 3) % kLineOffsets, &b_store);
           for (int rows = 1; rows <= kShapeMaxRows; ++rows) {
-            Vector out_buf(rows * cols + 1);
-            double* out = out_buf.data() + offset;
+            double* out =
+                AtLineOffset(Vector(rows * cols), offset, &out_store);
             t->gemm_nn(a, rows, k, b, cols, out);
             Vector want(cols);
             for (int i = 0; i < rows; ++i) {
@@ -238,6 +276,53 @@ TEST(KernelParityTest, GemmNnMatchesPerRowAxpyLoopBitwise) {
                     << j << ": " << out[i * cols + j] << " vs " << want[j];
               }
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Each row of gemm_nn skips its own zero coefficients, also where a pass
+// shares b's loads among several rows: a skipped 0 * inf would be NaN. b
+// has rows of +inf, and each row of `a` is zero at a different subset of
+// them (all coefficients nonnegative, so no inf - inf), so rows sharing a
+// pass disagree about which b rows to skip.
+TEST(KernelParityTest, GemmNnSkipsEachRowsOwnZeros) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (Backend backend : SupportedBackends()) {
+    const KernelTable* t = kernels::TableForBackend(backend);
+    for (int cols : kShapeGemmCols) {
+      const int k = 6;
+      Vector b = RandomVector(k * cols, 47 + cols);
+      for (int kk : {1, 4}) {
+        std::fill(b.begin() + kk * cols, b.begin() + (kk + 1) * cols, inf);
+      }
+      Vector a(static_cast<size_t>(kShapeMaxRows) * k);
+      for (int i = 0; i < kShapeMaxRows; ++i) {
+        for (int kk = 0; kk < k; ++kk) {
+          // Row i is zero at b row 1 when bit 0 of i is set, at b row 4 when
+          // bit 1 is, and nonzero elsewhere.
+          const bool zero = (kk == 1 && (i & 1)) || (kk == 4 && (i & 2));
+          a[i * k + kk] = zero ? 0.0 : 0.25 + 0.5 * ((i + kk) % 3);
+        }
+      }
+      for (int rows = 1; rows <= kShapeMaxRows; ++rows) {
+        Vector out(static_cast<size_t>(rows) * cols);
+        t->gemm_nn(a.data(), rows, k, b.data(), cols, out.data());
+        Vector want(cols);
+        for (int i = 0; i < rows; ++i) {
+          std::fill(want.begin(), want.end(), 0.0);
+          for (int kk = 0; kk < k; ++kk) {
+            const double a_ik = a[i * k + kk];
+            if (a_ik == 0.0) continue;
+            t->axpy(want.data(), b.data() + kk * cols, a_ik, cols);
+          }
+          for (int j = 0; j < cols; ++j) {
+            ASSERT_TRUE(SameBits(out[i * cols + j], want[j]))
+                << t->name << " rows " << rows << " cols " << cols << " i "
+                << i << " j " << j << ": " << out[i * cols + j] << " vs "
+                << want[j];
           }
         }
       }
@@ -497,12 +582,14 @@ TEST(KernelParityTest, StaleArenaContentsNeverReachOutputs) {
       arena.Alloc(1);
       const MlpOutputs first = RunMlpPaths(mlp, x, y);
       {
-        // Bump through every existing slab one double at a time (so no
-        // slab remainder is skipped) until the arena has to grow.
+        // Bump through every existing slab one line at a time (blocks take
+        // whole lines, so no slab remainder is skipped) until the arena has
+        // to grow.
         KernelArena::Scope poison(&arena);
         const size_t grown = arena.grow_count();
         while (arena.grow_count() == grown) {
-          *arena.Alloc(1) = std::nan("");
+          std::fill_n(arena.Alloc(kernels::kLineDoubles),
+                      kernels::kLineDoubles, std::nan(""));
         }
       }
       const MlpOutputs second = RunMlpPaths(mlp, x, y);
@@ -547,6 +634,36 @@ TEST(KernelParityTest, EmptiedArenaMergesItsSlabs) {
     }
     EXPECT_EQ(arena.grow_count(), grown);
     EXPECT_EQ(arena.reserved_bytes(), reserved);
+  });
+  worker.join();
+}
+
+// Every arena block starts on a 64-byte cache line, whatever the sizes
+// before it (1 to 67 doubles), in a fresh slab after growth, and in the one
+// slab a grown chain merges into.
+TEST(KernelParityTest, ArenaBlocksStartOnACacheLine) {
+  std::thread worker([] {
+    KernelArena& arena = KernelArena::ThreadLocal();
+    auto on_line = [](const double* p) {
+      return reinterpret_cast<uintptr_t>(p) % 64 == 0;
+    };
+    for (const char* phase : {"first slab", "merged slab"}) {
+      const size_t grown = arena.grow_count();
+      {
+        KernelArena::Scope scope(&arena);
+        for (size_t n = 1; n <= 67; ++n) {
+          EXPECT_TRUE(on_line(arena.Alloc(n))) << phase << " n " << n;
+        }
+        // Larger than the whole arena, so it takes a new slab.
+        const size_t more = arena.reserved_bytes() / sizeof(double) + 1;
+        EXPECT_TRUE(on_line(arena.Alloc(more))) << phase << " growth";
+        for (size_t n = 1; n <= 67; ++n) {
+          EXPECT_TRUE(on_line(arena.Alloc(n)))
+              << phase << " after growth, n " << n;
+        }
+        EXPECT_GT(arena.grow_count(), grown) << phase;
+      }
+    }
   });
   worker.join();
 }

@@ -122,8 +122,8 @@ inline double ReferenceForwardBackward(const Mlp& mlp, const Matrix& x,
   const double l2 = mlp.config().l2;
   if (l2 > 0.0) {
     for (int l = 0; l < num_layers; ++l) {
-      const Vector& w = layers[l].w.data();
-      Vector& dw = (*grads)[l].dw.data();
+      const Matrix::Storage& w = layers[l].w.data();
+      Matrix::Storage& dw = (*grads)[l].dw.data();
       for (size_t i = 0; i < w.size(); ++i) {
         loss += l2 * w[i] * w[i];
         dw[i] += 2.0 * l2 * w[i];

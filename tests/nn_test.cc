@@ -3,6 +3,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <sstream>
 
 #include "common/matrix.h"
 #include "common/random.h"
@@ -79,8 +81,54 @@ TEST(MlpTest, SnapshotRestoreRoundTrips) {
   EXPECT_DOUBLE_EQ(Predict(a, x), Predict(b, x));
 }
 
-// Number of doubles whose bit patterns differ between `a` and `b`.
-int DifferingBits(const Vector& a, const Vector& b) {
+// The dense kernels stream each layer's weights, so a weight block of at
+// least 4 KiB starts on a 64-byte cache line: at construction, and in every
+// copy a model server makes (Clone, the copy FineTune trains, Deserialize).
+// The served 12-64-64-1 model's 12x64 and 64x64 layers are such blocks; its
+// 64-weight output layer keeps the default alignment.
+TEST(MlpTest, LargeWeightBlocksStartOnACacheLine) {
+  auto expect_on_lines = [](const Mlp& mlp, const char* where) {
+    int large = 0;
+    for (size_t l = 0; l < mlp.layers().size(); ++l) {
+      const Matrix::Storage& w = mlp.layers()[l].w.data();
+      if (w.size() * sizeof(double) < 4096) continue;
+      ++large;
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(w.data()) % 64, 0u)
+          << where << " layer " << l;
+    }
+    EXPECT_EQ(large, 2) << where;
+  };
+  MlpConfig net;
+  net.layer_sizes = {12, 64, 64, 1};
+  Rng rng(61);
+  expect_on_lines(Mlp(net, &rng), "construction");
+
+  MlpModelConfig cfg;  // the served 64x64 hidden layers
+  cfg.train.epochs = 2;
+  Matrix x(24, 12);
+  Vector y(24);
+  for (int r = 0; r < x.rows(); ++r) {
+    for (int c = 0; c < x.cols(); ++c) x(r, c) = rng.Uniform();
+    y[r] = 1.0 + x(r, 0);
+  }
+  auto fitted = MlpModel::Fit(x, y, cfg, &rng);
+  ASSERT_TRUE(fitted.ok());
+  expect_on_lines((*fitted)->mlp(), "Fit");
+  const std::shared_ptr<MlpModel> clone = (*fitted)->Clone();
+  expect_on_lines(clone->mlp(), "Clone");
+  clone->FineTune(x, y, 2, &rng);
+  expect_on_lines(clone->mlp(), "FineTune");
+  std::stringstream text;
+  clone->SerializeTo(text);
+  auto restored = MlpModel::Deserialize(text);
+  ASSERT_TRUE(restored.ok());
+  expect_on_lines((*restored)->mlp(), "Deserialize");
+}
+
+// Number of doubles whose bit patterns differ between `a` and `b` (vectors
+// or Matrix storage).
+template <typename A, typename B>
+int DifferingBits(const A& a, const B& b) {
   EXPECT_EQ(a.size(), b.size());
   int differing = 0;
   for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
@@ -124,7 +172,7 @@ TEST(MlpTest, BatchedPassesMatchPerSampleReferenceBitwise) {
       const double ref_loss = ReferenceForwardBackward(mlp, x, y, &ref_grads);
       std::vector<Mlp::LayerGrad> grads = mlp.ZeroGrads();
       const double loss = mlp.ForwardBackward(x, y, &grads);
-      int differing = DifferingBits({loss}, {ref_loss});
+      int differing = DifferingBits(Vector{loss}, Vector{ref_loss});
       for (size_t l = 0; l < grads.size(); ++l) {
         differing += DifferingBits(grads[l].dw.data(), ref_grads[l].dw.data());
         differing += DifferingBits(grads[l].db, ref_grads[l].db);

@@ -32,18 +32,26 @@ namespace {
 
 // ------------------------------------------------------------- ThreadPool
 
-TEST(RaceStressTest, SubmitWaitIdleParallelForInterleave) {
+// Submitted tasks and ParallelFor rounds interleave on one pool while two
+// threads wait on the tasks' own completion count (mutex-guarded; the last
+// task signals it). Every waiter must see all 400 tasks done, and TSan
+// checks the count's increments against the waiters' reads.
+TEST(RaceStressTest, SubmitParallelForInterleave) {
   ThreadPool pool(4);
-  std::atomic<int> submitted_work{0};
+  constexpr int kSubmitted = 400;
+  Mutex mu;
+  CondVar all_done;
+  int submitted_work = 0;  // guarded by mu
   std::atomic<int> parallel_work{0};
 
   std::vector<std::thread> attackers;
   // Two submitters pushing independent task streams.
   for (int t = 0; t < 2; ++t) {
-    attackers.emplace_back([&pool, &submitted_work] {
-      for (int i = 0; i < 200; ++i) {
-        pool.Submit([&submitted_work] {
-          submitted_work.fetch_add(1, std::memory_order_relaxed);
+    attackers.emplace_back([&] {
+      for (int i = 0; i < kSubmitted / 2; ++i) {
+        pool.Submit([&] {
+          MutexLock lock(mu);
+          if (++submitted_work == kSubmitted) all_done.NotifyAll();
         });
       }
     });
@@ -56,15 +64,17 @@ TEST(RaceStressTest, SubmitWaitIdleParallelForInterleave) {
       });
     }
   });
-  // Two threads hammering WaitIdle the whole time.
+  // Two threads waiting on the submitted tasks' completion count.
+  std::atomic<int> observed_incomplete{0};
   for (int t = 0; t < 2; ++t) {
-    attackers.emplace_back([&pool] {
-      for (int i = 0; i < 50; ++i) pool.WaitIdle();
+    attackers.emplace_back([&] {
+      MutexLock lock(mu);
+      while (submitted_work < kSubmitted) all_done.Wait(mu);
+      if (submitted_work != kSubmitted) observed_incomplete.fetch_add(1);
     });
   }
   for (std::thread& t : attackers) t.join();
-  pool.WaitIdle();
-  EXPECT_EQ(submitted_work.load(), 400);
+  EXPECT_EQ(observed_incomplete.load(), 0);
   EXPECT_EQ(parallel_work.load(), 20 * 16);
 }
 
@@ -88,29 +98,7 @@ TEST(RaceStressTest, ConcurrentParallelForCallersRaceHelpersForIndices) {
     });
   }
   for (std::thread& t : callers) t.join();
-  pool.WaitIdle();
   EXPECT_EQ(miscounted.load(), 0);
-}
-
-TEST(RaceStressTest, ConcurrentWaitIdleBothObserveCompletion) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit([&done] {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      done.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  std::vector<std::thread> waiters;
-  std::atomic<int> observed_incomplete{0};
-  for (int t = 0; t < 4; ++t) {
-    waiters.emplace_back([&pool, &done, &observed_incomplete] {
-      pool.WaitIdle();
-      if (done.load() != 64) observed_incomplete.fetch_add(1);
-    });
-  }
-  for (std::thread& t : waiters) t.join();
-  EXPECT_EQ(observed_incomplete.load(), 0);
 }
 
 TEST(RaceStressTest, TasksSubmittingTasksDuringShutdownAllRun) {
